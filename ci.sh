@@ -36,6 +36,17 @@ lint_json=$(target/release/livephase-cli lint --json --baseline results/lint/bas
 echo "$lint_json" | grep -q '"findings": 0' \
     || { echo "lint --json disagrees with the text report"; exit 1; }
 
+# Byte-identical repro gate: every artifact's output at seed 42 must hash
+# to the value committed in results/repro/seed42.sha256 (one
+# "<sha256>  <artifact>" line each), so a refactor that claims to keep
+# behaviour cannot move a published table or figure unnoticed.
+repro_hashes=$(awk '{print $2}' results/repro/seed42.sha256 | while read -r artifact; do
+    echo "$(target/release/livephase-cli repro "$artifact" --seed 42 | sha256sum | cut -d' ' -f1)  $artifact"
+done)
+diff <(echo "$repro_hashes") results/repro/seed42.sha256 \
+    || { echo "repro: output at seed 42 differs from results/repro/seed42.sha256"; exit 1; }
+echo "repro hash gate passed ($(wc -l < results/repro/seed42.sha256) artifacts)"
+
 cargo test -q --workspace
 # The engine-equivalence bar explicitly: the governor, the serve shards,
 # and the raw engine must emit bit-identical decision streams. (Also part

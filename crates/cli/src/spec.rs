@@ -3,9 +3,7 @@
 use crate::args::CliError;
 use livephase_core::Predictor;
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{
-    ConservativeDerivation, Manager, ManagerConfig, Oracle, Reactive, TranslationTable,
-};
+use livephase_governor::{ConservativeDerivation, Manager, ManagerConfig};
 use livephase_workloads::WorkloadTrace;
 
 /// Builds a predictor from a spec string such as `gpht:8:128`.
@@ -28,17 +26,7 @@ pub fn manager(policy: &str, trace: &WorkloadTrace) -> Result<Manager, CliError>
         "baseline" => Ok(Manager::baseline()),
         "reactive" => Ok(Manager::reactive()),
         "gpht" => Ok(Manager::gpht_deployed()),
-        "oracle" => {
-            let map = livephase_core::PhaseMap::pentium_m();
-            Ok(Manager::new(
-                Box::new(Oracle::from_trace(
-                    trace,
-                    &map,
-                    TranslationTable::pentium_m(),
-                )),
-                ManagerConfig::pentium_m(),
-            ))
-        }
+        "oracle" => Ok(Manager::oracle_with(trace, ManagerConfig::pentium_m())),
         "conservative" => Ok(ConservativeDerivation::pentium_m().manager(0.05)),
         other => Err(CliError::new(format!(
             "unknown policy {other:?}; accepted: baseline | reactive | gpht | \
@@ -57,15 +45,6 @@ pub fn proactive_manager(pred_spec: &str) -> Result<Manager, CliError> {
     let engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), pred_spec)
         .map_err(|e| CliError::new(e.to_string()))?;
     Ok(Manager::with_engine(engine, ManagerConfig::pentium_m()))
-}
-
-/// Convenience: also accept `reactive`-style names through one entry.
-///
-/// # Errors
-///
-/// Propagates the underlying spec errors.
-pub fn reactive_manager() -> Reactive {
-    Reactive::new(TranslationTable::pentium_m())
 }
 
 #[cfg(test)]
@@ -120,6 +99,5 @@ mod tests {
     fn proactive_manager_builds() {
         assert!(proactive_manager("markov").is_ok());
         assert!(proactive_manager("bogus").is_err());
-        let _ = reactive_manager();
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::phase::PhaseId;
 use crate::predict::{PhaseSample, Predictor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scale of confidence values reported in basis points: 10 000 means
@@ -19,7 +18,7 @@ use std::fmt;
 pub const CONFIDENCE_SCALE: u16 = 10_000;
 
 /// Aggregate accuracy of one predictor over one phase stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictionStats {
     /// Number of scored intervals (stream length minus one).
     pub total: u64,
@@ -111,12 +110,6 @@ impl StreamScorer {
         self.pending = Some(predicted);
     }
 
-    /// Withdraws any standing prediction without scoring it (used by
-    /// non-predicting policies such as the unmanaged baseline).
-    pub fn clear_pending(&mut self) {
-        self.pending = None;
-    }
-
     /// The prediction currently standing, if any.
     #[must_use]
     pub fn pending(&self) -> Option<PhaseId> {
@@ -150,7 +143,7 @@ impl fmt::Display for PredictionStats {
 
 /// Full per-interval record of an evaluation, for trace-style figures
 /// (Figure 2 plots actual vs predicted phase series for `applu`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EvaluationTrace {
     /// The observed sample at each interval.
     pub observed: Vec<PhaseSample>,
@@ -194,7 +187,7 @@ where
 /// Aggregate accuracy hides *where* a predictor fails; for management the
 /// direction matters — predicting too CPU-bound wastes energy, predicting
 /// too memory-bound costs performance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// `counts[(actual, predicted)]` over scored intervals.
     counts: std::collections::BTreeMap<(u8, u8), u64>,
@@ -449,15 +442,6 @@ mod tests {
         assert_eq!(scorer.stats().total, 2);
         assert_eq!(scorer.stats().correct, 1);
         assert_eq!(scorer.confidence_bp(), CONFIDENCE_SCALE / 2);
-    }
-
-    #[test]
-    fn clear_pending_withdraws_without_scoring() {
-        let mut scorer = StreamScorer::new();
-        scorer.predict(PhaseId::new(5));
-        scorer.clear_pending();
-        assert_eq!(scorer.score(PhaseId::new(5)), None);
-        assert_eq!(scorer.stats().total, 0);
     }
 
     #[test]

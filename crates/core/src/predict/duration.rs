@@ -14,12 +14,11 @@
 //!   found most practical).
 
 use crate::phase::PhaseId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// A completed run: a phase and the number of consecutive sampling
 /// intervals it persisted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhaseRun {
     /// The phase of the run.
     pub phase: PhaseId,
@@ -83,7 +82,7 @@ impl RunLengthEncoder {
 }
 
 /// The duration-estimation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurationScheme {
     /// Predict the last completed duration of the same phase.
     LastDuration,

@@ -11,11 +11,10 @@
 
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Sizing of a [`HashedGpht`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashedGphtConfig {
     /// Number of past phases hashed into the index.
     pub gphr_depth: usize,

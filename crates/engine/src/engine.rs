@@ -214,6 +214,11 @@ impl TransitionTracker {
         self.counts = counts;
     }
 
+    /// Drops the accumulated pairs unpublished.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+    }
+
     /// Pushes the accumulated pairs into the registry and clears them,
     /// so flushing twice never double-counts.
     pub fn flush(&mut self) {
@@ -368,6 +373,8 @@ pub struct DecisionEngine {
     /// (with their predictor history) once it is reached.
     max_pids: usize,
     name: String,
+    /// Display name of the per-pid predictor, e.g. `GPHT_8_128`.
+    predictor: String,
     metrics: EngineMetrics,
     transitions: TransitionTracker,
 }
@@ -383,9 +390,31 @@ impl std::fmt::Debug for DecisionEngine {
 }
 
 impl DecisionEngine {
-    /// Creates an engine whose per-pid predictors are built from
-    /// `predictor_spec` (e.g. `gpht:8:128`). The display name defaults to
+    /// Creates an engine whose per-pid predictors are built by `factory`
+    /// — a parsed spec, a confidence-gated GPHT, a trace oracle, or any
+    /// other [`Predictor`]. The display name defaults to
     /// `Proactive(<predictor>)`, matching the governor's policy naming.
+    pub fn new(
+        config: EngineConfig,
+        factory: impl Fn() -> Box<dyn Predictor> + Send + 'static,
+    ) -> Self {
+        let predictor = factory().name();
+        Self {
+            config,
+            factory: Box::new(factory),
+            pids: PidMap::default(),
+            lru: BTreeMap::new(),
+            next_stamp: 0,
+            max_pids: DEFAULT_MAX_PIDS,
+            name: format!("Proactive({predictor})"),
+            predictor,
+            metrics: EngineMetrics::new(),
+            transitions: TransitionTracker::new(),
+        }
+    }
+
+    /// Creates an engine whose per-pid predictors are built from
+    /// `predictor_spec` (e.g. `gpht:8:128`).
     ///
     /// # Errors
     ///
@@ -395,26 +424,16 @@ impl DecisionEngine {
         config: EngineConfig,
         predictor_spec: &str,
     ) -> Result<Self, PredictorSpecError> {
-        let probe = predictor_from_spec(predictor_spec)?;
-        let name = format!("Proactive({})", probe.name());
+        predictor_from_spec(predictor_spec)?;
         let spec = predictor_spec.to_owned();
-        let factory: BoxedPredictorFactory = Box::new(move || match predictor_from_spec(&spec) {
-            Ok(p) => p,
-            // The spec parsed when the engine was built and the grammar
-            // is deterministic, so a re-parse cannot fail.
-            Err(_) => unreachable!("predictor spec validated at engine construction"),
-        });
-        Ok(Self {
-            config,
-            factory,
-            pids: PidMap::default(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
-            max_pids: DEFAULT_MAX_PIDS,
-            name,
-            metrics: EngineMetrics::new(),
-            transitions: TransitionTracker::new(),
-        })
+        Ok(Self::new(config, move || {
+            match predictor_from_spec(&spec) {
+                Ok(p) => p,
+                // The spec parsed above and the grammar is deterministic, so a
+                // re-parse cannot fail.
+                Err(_) => unreachable!("predictor spec validated at engine construction"),
+            }
+        }))
     }
 
     /// Bounds the per-pid state map to `max_pids` streams (builder style);
@@ -437,7 +456,7 @@ impl DecisionEngine {
 
     /// Overrides the display name (e.g. `Reactive(LastValue)` for the
     /// prior-work reactive system, which is a last-value engine by
-    /// another name).
+    /// another name, or `Oracle` for the perfect-knowledge bound).
     #[must_use]
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -448,6 +467,12 @@ impl DecisionEngine {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Display name of the per-pid predictor, e.g. `GPHT_8_128`.
+    #[must_use]
+    pub fn predictor_name(&self) -> &str {
+        &self.predictor
     }
 
     /// The deployment context decisions are made in.
@@ -592,6 +617,13 @@ impl DecisionEngine {
     pub fn flush_metrics(&mut self) {
         self.transitions.flush();
     }
+
+    /// Drops the transition pairs recorded since the last flush without
+    /// publishing them: for a caller that applies operating points other
+    /// than the decided ones and accounts the applied transitions itself.
+    pub fn discard_transitions(&mut self) {
+        self.transitions.clear();
+    }
 }
 
 /// One pid's classify → score → predict → translate step. Free-standing
@@ -664,6 +696,11 @@ mod tests {
     #[test]
     fn names_follow_the_policy_convention() {
         assert_eq!(engine("gpht:8:128").name(), "Proactive(GPHT_8_128)");
+        assert_eq!(engine("gpht:8:128").predictor_name(), "GPHT_8_128");
+        let custom = DecisionEngine::new(EngineConfig::pentium_m(), || {
+            Box::new(livephase_core::LastValue::new())
+        });
+        assert_eq!(custom.name(), "Proactive(LastValue)");
         assert_eq!(
             engine("lastvalue").with_name("Reactive(LastValue)").name(),
             "Reactive(LastValue)"
@@ -855,5 +892,8 @@ mod tests {
         t.flush();
         assert_eq!(t.count(0, 5), 0, "flush drains");
         t.flush(); // idempotent on empty
+        t.record(1, 2);
+        t.clear();
+        assert_eq!(t.count(1, 2), 0, "clear drops unpublished pairs");
     }
 }

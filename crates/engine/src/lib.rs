@@ -6,8 +6,8 @@
 //! operating point. One implementation, three consumers:
 //!
 //! * the **governor**'s [`Manager`] delegates every PMI decision here and
-//!   keeps only simulated-CPU, interrupt-overhead, dwell and
-//!   transition-latency concerns;
+//!   keeps only simulated-CPU, interrupt-overhead and transition-latency
+//!   concerns;
 //! * the **serve** shards wrap an engine per session and drain their
 //!   queues through the batched [`DecisionEngine::step_many`];
 //! * the **experiment** harness scores predictor families through the

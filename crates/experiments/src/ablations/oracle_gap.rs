@@ -1,14 +1,15 @@
 //! How much of the perfect-prediction headroom does the GPHT capture?
 //!
-//! Runs the Figure 12 benchmark set under an [`Oracle`] policy that knows
+//! Runs the Figure 12 benchmark set under an [`Oracle`] predictor that knows
 //! the actual next phase, and reports GPHT's EDP gain as a fraction of the
 //! oracle's.
+//!
+//! [`Oracle`]: livephase_governor::Oracle
 
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::PhaseMap;
-use livephase_governor::{par_map, Oracle, Session, TranslationTable};
+use livephase_governor::{par_map, Manager, Session};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -48,7 +49,6 @@ pub struct OracleGap {
 pub fn run(seed: u64) -> OracleGap {
     let platform = PlatformConfig::pentium_m();
     let session = Session::new(&platform);
-    let map = PhaseMap::pentium_m();
     let rows = par_map(&spec::figure12_set(), |name| {
         let bench = require_benchmark(name);
         // The oracle needs the whole future, so this one driver still
@@ -56,12 +56,8 @@ pub fn run(seed: u64) -> OracleGap {
         let trace = bench.generate(seed);
         let baseline = session.baseline(&trace);
         let gpht = session.gpht(&trace);
-        let oracle = session.run_policy(
-            Box::new(Oracle::from_trace(
-                &trace,
-                &map,
-                TranslationTable::pentium_m(),
-            )),
+        let oracle = session.run(
+            Manager::oracle_with(&trace, session.config().clone()),
             &trace,
         );
         OracleRow {

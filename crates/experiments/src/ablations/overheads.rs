@@ -9,9 +9,6 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
-use livephase_governor::policy::Proactive;
-use livephase_governor::TranslationTable;
 use livephase_governor::{par_map, Manager, ManagerConfig};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
@@ -57,13 +54,10 @@ pub fn run(seed: u64) -> OverheadAblation {
         dvfs_transition_s: 0.0,
         ..PlatformConfig::pentium_m()
     };
-    let baseline = Manager::new(
-        Box::new(livephase_governor::Baseline::new()),
-        ManagerConfig {
-            handler_overhead_s: 0.0,
-            ..ManagerConfig::pentium_m()
-        },
-    )
+    let baseline = Manager::baseline_with(ManagerConfig {
+        handler_overhead_s: 0.0,
+        ..ManagerConfig::pentium_m()
+    })
     .run(&trace, &base_platform);
 
     let rows = par_map(&SWEEP, |&(handler_s, transition_s)| {
@@ -71,16 +65,10 @@ pub fn run(seed: u64) -> OverheadAblation {
             dvfs_transition_s: transition_s,
             ..PlatformConfig::pentium_m()
         };
-        let report = Manager::new(
-            Box::new(Proactive::new(
-                Gpht::new(GphtConfig::DEPLOYED),
-                TranslationTable::pentium_m(),
-            )),
-            ManagerConfig {
-                handler_overhead_s: handler_s,
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let report = Manager::gpht_deployed_with(ManagerConfig {
+            handler_overhead_s: handler_s,
+            ..ManagerConfig::pentium_m()
+        })
         .run(&trace, &platform);
         let c = report.compare_to(&baseline);
         let overhead_s = handler_s * report.intervals.len() as f64

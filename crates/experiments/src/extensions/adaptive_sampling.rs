@@ -10,7 +10,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, AdaptiveSampling, ManagerConfig, Session};
+use livephase_governor::{par_map, AdaptiveSampling, Manager, ManagerConfig, Session};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
 
@@ -54,16 +54,16 @@ pub const BENCHMARKS: [&str; 3] = ["swim_in", "applu_in", "gzip_log"];
 pub fn run(seed: u64) -> AdaptiveSamplingExperiment {
     let platform = PlatformConfig::pentium_m();
     let session = Session::new(&platform);
-    let adaptive_session = session.clone().with_config(ManagerConfig {
+    let adaptive_config = ManagerConfig {
         adaptive_sampling: Some(AdaptiveSampling::pentium_m()),
         ..ManagerConfig::pentium_m()
-    });
+    };
     let rows = par_map(&BENCHMARKS, |name| {
         let bench = require_benchmark(name).with_length(600);
         let baseline = session.baseline(bench.stream(seed));
         let plain = session.gpht(bench.stream(seed));
-        let adaptive = adaptive_session.run_policy(
-            Box::new(livephase_governor::Proactive::gpht_deployed()),
+        let adaptive = session.run(
+            Manager::gpht_deployed_with(adaptive_config.clone()),
             bench.stream(seed),
         );
         SamplingRow {

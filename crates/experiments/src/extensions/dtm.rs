@@ -8,8 +8,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
-use livephase_governor::{ManagerConfig, PowerEstimator, Session, ThermalAware, TranslationTable};
+use livephase_governor::{ManagerConfig, PowerEstimator, Session, ThermalAware};
 use livephase_pmsim::{PlatformConfig, ThermalModel};
 use std::fmt;
 
@@ -46,23 +45,10 @@ pub fn run(seed: u64) -> DtmExperiment {
         ..ManagerConfig::pentium_m()
     });
 
-    let unmanaged = session.run_policy(
-        Box::new(livephase_governor::Baseline::new()),
-        bench.stream(seed),
-    );
-
-    let energy = session.run_policy(
-        Box::new(livephase_governor::Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-        )),
-        bench.stream(seed),
-    );
-
+    let unmanaged = session.baseline(bench.stream(seed));
+    let energy = session.gpht(bench.stream(seed));
     let dtm = session.run_policy(
         Box::new(ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
             PowerEstimator::pentium_m(),
             ThermalModel::pentium_m(),
             limit_c,

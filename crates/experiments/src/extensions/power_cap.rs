@@ -6,7 +6,6 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
 use livephase_governor::{par_map, PowerCap, PowerEstimator, Session};
 use livephase_pmsim::{PlatformConfig, PowerModelKind};
 use std::fmt;
@@ -60,7 +59,6 @@ pub fn run_with_model(seed: u64, model: &PowerModelKind) -> PowerCapExperiment {
     let rows = par_map(&CAPS, |&cap_w| {
         let report = session.run_policy(
             Box::new(PowerCap::new(
-                Gpht::new(GphtConfig::DEPLOYED),
                 PowerEstimator::for_platform(&PlatformConfig {
                     power: model.clone(),
                     ..PlatformConfig::pentium_m()

@@ -18,7 +18,6 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
 use livephase_daq::DaqSystem;
 use livephase_governor::{par_map, PowerCap, PowerEstimator, Session};
 use livephase_pmsim::{
@@ -193,14 +192,7 @@ fn race_edp(kind: &PowerModelKind, seed: u64) -> (f64, f64) {
         power: kind.clone(),
         ..PlatformConfig::pentium_m()
     });
-    let report = session.run_policy(
-        Box::new(PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            estimator,
-            RACE_CAP_W,
-        )),
-        &trace,
-    );
+    let report = session.run_policy(Box::new(PowerCap::new(estimator, RACE_CAP_W)), &trace);
     (report.edp(), report.average_power_w())
 }
 

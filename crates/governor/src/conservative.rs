@@ -15,9 +15,9 @@
 //! slowdown stays within the bound.
 
 use crate::manager::{Manager, ManagerConfig};
-use crate::policy::Proactive;
 use crate::table::TranslationTable;
-use livephase_core::{Gpht, GphtConfig, PhaseMap};
+use livephase_core::PhaseMap;
+use livephase_engine::EngineConfig;
 use livephase_pmsim::opp::OperatingPointTable;
 use livephase_pmsim::timing::TimingModel;
 use livephase_workloads::PhaseLevel;
@@ -136,13 +136,14 @@ impl ConservativeDerivation {
     #[must_use]
     pub fn manager(&self, target: f64) -> Manager {
         let (map, table) = self.derive(target);
-        Manager::new(
-            Box::new(Proactive::new(Gpht::new(GphtConfig::DEPLOYED), table)),
-            ManagerConfig {
-                phase_map: map,
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let engine = match EngineConfig::new("pentium_m", map, table) {
+            Ok(engine) => engine,
+            Err(_) => unreachable!("derived settings index the six-point platform table"),
+        };
+        Manager::gpht_deployed_with(ManagerConfig {
+            engine,
+            ..ManagerConfig::pentium_m()
+        })
     }
 
     /// The smallest swept Mem/Uop from which `setting`'s slowdown stays

@@ -6,14 +6,17 @@
 //! * [`table`] — the phase → DVFS look-up table (the paper's Table 2),
 //!   re-exported from `livephase-engine`, where the shared decision
 //!   pipeline lives;
-//! * [`policy`] — the management policies compared in Section 6:
-//!   [`policy::Baseline`] (unmanaged, always full speed),
-//!   [`policy::Reactive`] (respond to the *last observed* phase —
-//!   the prior-work approach) and [`policy::Proactive`] (respond
-//!   to the *predicted next* phase, GPHT by default);
 //! * [`manager`] — the interval loop + interrupt handler that ties a
 //!   workload (any streaming `IntervalSource`, or a buffered trace), the
-//!   simulated CPU, a phase map and a policy together;
+//!   simulated CPU and one decision engine together. The systems compared
+//!   in Section 6 are constructors: [`Manager::baseline`] (unmanaged,
+//!   always full speed — the one run with no engine),
+//!   [`Manager::reactive`] (respond to the *last observed* phase — the
+//!   prior-work approach) and [`Manager::gpht_deployed`] (respond to the
+//!   *predicted next* phase);
+//! * [`policy`] — [`Policy`] overrides of the engine's decision (the
+//!   Section 8 applications in [`thermal`]) and the perfect-knowledge
+//!   [`Oracle`] predictor;
 //! * [`session`] — shared-platform experiment sessions, per-interval
 //!   observers, and the order-preserving parallel sweep primitive;
 //! * [`conservative`] — Section 6.3: deriving alternative phase
@@ -40,7 +43,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod conservative;
-pub mod dwell;
 pub mod estimate;
 pub mod manager;
 pub mod policy;
@@ -51,10 +53,9 @@ pub mod thermal;
 pub use livephase_engine::table;
 
 pub use conservative::ConservativeDerivation;
-pub use dwell::MinDwell;
 pub use estimate::PowerEstimator;
 pub use manager::{AdaptiveSampling, Manager, ManagerConfig};
-pub use policy::{Baseline, Environment, Oracle, Policy, Proactive, Reactive};
+pub use policy::{Environment, Oracle, Policy};
 pub use report::{IntervalLog, NormalizedComparison, RunReport};
 pub use session::{par_map, IntervalObserver, Session};
 pub use table::{TranslationTable, TranslationTableError};

@@ -12,12 +12,13 @@
 //!
 //! Steps 2–4 — the *decision* — are not implemented here: they are the
 //! [`DecisionEngine`] from `livephase-engine`, the same pipeline the
-//! serve shards and the experiment harness run. The manager contributes
-//! what only an in-process run has: the simulated CPU, the PMI cadence,
-//! handler and DVFS-transition overhead accounting, thermal integration
-//! and adaptive sampling. (Policies that are *not* the paper's pipeline
-//! — the unmanaged baseline, the oracle, thermally-aware wrappers — plug
-//! in through the [`Policy`] trait instead.)
+//! serve shards and the experiment harness run, making one decision per
+//! PMI. The manager contributes what only an in-process run has: the
+//! simulated CPU, the PMI cadence, handler and DVFS-transition overhead
+//! accounting, thermal integration and adaptive sampling. An optional
+//! [`Policy`] overrides the engine's decision with an environment-aware
+//! setting (thermal management, power capping); the unmanaged baseline is
+//! the one run with no engine at all.
 //!
 //! The handler's own execution cost (≈ 10 µs) and any DVFS transition
 //! (≈ 50 µs) are charged to the simulated CPU, so overheads — invisible at
@@ -26,25 +27,23 @@
 //!
 //! [`DecisionEngine`]: livephase_engine::DecisionEngine
 
-use crate::policy::{Baseline, Policy};
+use crate::policy::{Environment, Oracle, Policy};
 use crate::report::{IntervalLog, RunReport};
 use crate::session::IntervalObserver;
-use crate::table::TranslationTable;
-use livephase_core::{
-    DurationPredictor, DurationScheme, PhaseId, PhaseMap, PhaseSample, StreamScorer,
-};
-use livephase_engine::{DecisionEngine, EngineConfig, EngineMetrics, Sample, TransitionTracker};
+use livephase_core::{DurationPredictor, DurationScheme, PhaseId, PredictionStats};
+use livephase_engine::{DecisionEngine, EngineConfig, Sample, TransitionTracker};
 use livephase_pmsim::cpu::{Cpu, PmiRecord};
 use livephase_pmsim::trace::pport;
 use livephase_pmsim::PlatformConfig;
-use livephase_workloads::{IntervalSource, IntoIntervalSource};
-use std::time::Instant; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
+use livephase_workloads::{IntervalSource, IntoIntervalSource, WorkloadTrace};
 
 /// Handler-side configuration.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// The Mem/Uop → phase classification in force.
-    pub phase_map: PhaseMap,
+    /// The run's phase map and phase → DVFS translation table: the
+    /// engine decides in it, and the baseline classifies its logged
+    /// intervals through it.
+    pub engine: EngineConfig,
     /// Execution cost charged per PMI invocation, in seconds.
     pub handler_overhead_s: f64,
     /// When set, the manager integrates junction temperature over the run
@@ -85,30 +84,15 @@ impl AdaptiveSampling {
 }
 
 impl ManagerConfig {
-    /// The deployed configuration: Table 1 phases, 10 µs handler cost, no
-    /// thermal tracking.
+    /// The deployed configuration: Table 1 phases over the Table 2
+    /// mapping, 10 µs handler cost, no thermal tracking.
     #[must_use]
     pub fn pentium_m() -> Self {
         Self {
-            phase_map: PhaseMap::pentium_m(),
+            engine: EngineConfig::pentium_m(),
             handler_overhead_s: 10e-6,
             thermal: None,
             adaptive_sampling: None,
-        }
-    }
-
-    /// The engine deployment context matching this handler configuration:
-    /// its phase map over the paper's Table 2 translation, on the Pentium
-    /// M platform — the one constructor serve and the experiment drivers
-    /// also derive from.
-    fn engine_config(&self) -> EngineConfig {
-        match EngineConfig::new(
-            "pentium_m",
-            self.phase_map.clone(),
-            TranslationTable::pentium_m(),
-        ) {
-            Ok(config) => config,
-            Err(_) => unreachable!("the Table 2 mapping encodes as one-byte op points"),
         }
     }
 
@@ -133,57 +117,29 @@ impl Default for ManagerConfig {
 /// state is keyed by pid, and a manager-driven run has exactly one.
 const RUN_PID: u32 = 0;
 
-/// What computes the per-interval decision: the shared
-/// [`DecisionEngine`] (the paper's pipeline — reactive and proactive
-/// systems alike), or a custom [`Policy`] for decision makers outside
-/// that pipeline (baseline, oracle, thermal wrappers, conservative
-/// derivations).
-enum Decider {
-    Policy(Box<dyn Policy>),
-    Engine(Box<DecisionEngine>),
-}
-
-impl Decider {
-    fn name(&self) -> String {
-        match self {
-            Self::Policy(p) => p.name(),
-            Self::Engine(e) => e.name().to_owned(),
-        }
-    }
-}
-
 /// Drives a workload through the simulated CPU under a management policy.
 pub struct Manager {
-    decider: Decider,
+    /// The decision pipeline; `None` only for the unmanaged baseline.
+    engine: Option<Box<DecisionEngine>>,
+    /// Environment-aware override of the engine's decisions.
+    policy: Option<Box<dyn Policy>>,
     config: ManagerConfig,
 }
 
 impl std::fmt::Debug for Manager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Manager")
-            .field("policy", &self.decider.name())
+            .field("policy", &self.policy_name())
             .field("config", &self.config)
             .finish()
     }
 }
 
 impl Manager {
-    /// Creates a manager with an arbitrary policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[must_use]
-    pub fn new(policy: Box<dyn Policy>, config: ManagerConfig) -> Self {
-        config.validate();
-        Self {
-            decider: Decider::Policy(policy),
-            config,
-        }
-    }
-
-    /// Creates a manager that delegates every decision to a
-    /// [`DecisionEngine`] — the same pipeline the serve shards run.
+    /// Creates a manager that delegates every decision to `engine` — the
+    /// same pipeline the serve shards run. The engine's configuration
+    /// becomes the run's: it replaces `config.engine`, so one phase map
+    /// and table govern the whole run.
     ///
     /// # Panics
     ///
@@ -192,9 +148,23 @@ impl Manager {
     pub fn with_engine(engine: DecisionEngine, config: ManagerConfig) -> Self {
         config.validate();
         Self {
-            decider: Decider::Engine(Box::new(engine)),
-            config,
+            config: ManagerConfig {
+                engine: engine.config().clone(),
+                ..config
+            },
+            engine: Some(Box::new(engine)),
+            policy: None,
         }
+    }
+
+    /// Overrides every engine decision with `policy` (builder style): the
+    /// engine still classifies, scores and predicts, and the policy picks
+    /// the setting applied. The baseline makes no decision to override,
+    /// so there the policy is never consulted.
+    #[must_use]
+    pub fn with_policy(mut self, policy: Box<dyn Policy>) -> Self {
+        self.policy = Some(policy);
+        self
     }
 
     /// The unmanaged baseline system (always full speed).
@@ -204,9 +174,18 @@ impl Manager {
     }
 
     /// The baseline system under a custom handler configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
     #[must_use]
     pub fn baseline_with(config: ManagerConfig) -> Self {
-        Self::new(Box::new(Baseline::new()), config)
+        config.validate();
+        Self {
+            engine: None,
+            policy: None,
+            config,
+        }
     }
 
     /// The reactive (last-value) manager of prior work, over the paper's
@@ -219,7 +198,7 @@ impl Manager {
     /// The reactive manager under a custom handler configuration.
     #[must_use]
     pub fn reactive_with(config: ManagerConfig) -> Self {
-        let engine = match DecisionEngine::from_spec(config.engine_config(), "lastvalue") {
+        let engine = match DecisionEngine::from_spec(config.engine.clone(), "lastvalue") {
             Ok(engine) => engine.with_name("Reactive(LastValue)"),
             Err(_) => unreachable!("lastvalue is a valid predictor spec"),
         };
@@ -236,17 +215,32 @@ impl Manager {
     /// The deployed GPHT system under a custom handler configuration.
     #[must_use]
     pub fn gpht_deployed_with(config: ManagerConfig) -> Self {
-        let engine = match DecisionEngine::from_spec(config.engine_config(), "gpht:8:128") {
+        let engine = match DecisionEngine::from_spec(config.engine.clone(), "gpht:8:128") {
             Ok(engine) => engine,
             Err(_) => unreachable!("the deployed GPHT spec is valid"),
         };
         Self::with_engine(engine, config)
     }
 
+    /// The perfect-knowledge bound for `trace`: an engine whose
+    /// predictor is the [`Oracle`] replaying the trace's phases under
+    /// `config`'s phase map.
+    #[must_use]
+    pub fn oracle_with(trace: &WorkloadTrace, config: ManagerConfig) -> Self {
+        let oracle = Oracle::from_trace(trace, config.engine.phase_map());
+        let engine = DecisionEngine::new(config.engine.clone(), move || Box::new(oracle.clone()))
+            .with_name("Oracle");
+        Self::with_engine(engine, config)
+    }
+
     /// The policy's display name.
     #[must_use]
     pub fn policy_name(&self) -> String {
-        self.decider.name()
+        match (&self.engine, &self.policy) {
+            (None, _) => "Baseline".to_owned(),
+            (Some(engine), None) => engine.name().to_owned(),
+            (Some(engine), Some(policy)) => policy.name(engine.predictor_name()),
+        }
     }
 
     /// Runs `workload` to completion on a fresh CPU sharing `platform`,
@@ -288,11 +282,10 @@ impl Manager {
             thermal: self.config.thermal.map(livephase_pmsim::ThermalState::new),
             ..RunState::default()
         };
-        let metrics = EngineMetrics::new();
         cpu.set_pport_bits(pport::APP_RUNNING);
 
         while let Some(pmi) = cpu.run_to_pmi_with(|| source.next_interval()) {
-            self.handle_pmi(&mut cpu, &pmi, &mut state, &metrics);
+            self.handle_pmi(&mut cpu, &pmi, &mut state);
             if let Some(last) = state.intervals.last() {
                 observer.on_interval(last);
             }
@@ -302,39 +295,35 @@ impl Manager {
         // prediction that stood for it, without a policy action —
         // execution is over.
         if let Some(pmi) = cpu.flush_partial_interval() {
-            let phase = self.config.phase_map.classify_rate(pmi.metrics.mem_uop());
-            let standing = match &mut self.decider {
-                Decider::Policy(_) => {
-                    let standing = state.scorer.pending();
-                    if let Some((_, correct)) = state.scorer.score(phase) {
-                        metrics.record_scored(correct);
-                    }
-                    standing
-                }
-                Decider::Engine(engine) => {
-                    let standing = engine.pending(RUN_PID);
-                    let _ = engine.score_tail(RUN_PID, phase);
-                    standing
-                }
-            };
+            let phase = self.classify(&pmi);
+            let standing = self.engine.as_mut().and_then(|engine| {
+                let standing = engine.pending(RUN_PID);
+                let _ = engine.score_tail(RUN_PID, phase);
+                standing
+            });
             state.log_interval(&pmi, phase, standing);
             if let Some(last) = state.intervals.last() {
                 observer.on_interval(last);
             }
         }
         cpu.set_pport_bits(0);
-        state.transitions.flush();
 
-        let (policy, prediction) = match &mut self.decider {
-            Decider::Policy(p) => (p.name(), state.scorer.stats()),
-            Decider::Engine(e) => {
-                e.flush_metrics();
-                (e.name().to_owned(), e.stats())
+        let prediction = match &mut self.engine {
+            Some(engine) => {
+                if self.policy.is_some() {
+                    // The override's applied transitions replace the
+                    // engine's decided ones (see `RunState::transitions`).
+                    engine.discard_transitions();
+                }
+                engine.flush_metrics();
+                engine.stats()
             }
+            None => PredictionStats::default(),
         };
+        state.transitions.flush();
         let report = RunReport {
             workload: workload_name,
-            policy,
+            policy: self.policy_name(),
             totals: cpu.totals(),
             prediction,
             intervals: state.intervals,
@@ -351,23 +340,23 @@ impl Manager {
         report
     }
 
-    /// One PMI invocation: classify, predict, act.
-    fn handle_pmi(
-        &mut self,
-        cpu: &mut Cpu<'_>,
-        pmi: &PmiRecord,
-        state: &mut RunState,
-        metrics: &EngineMetrics,
-    ) {
-        let phase = self.config.phase_map.classify_rate(pmi.metrics.mem_uop());
+    /// The phase of an elapsed interval under the run's phase map.
+    fn classify(&self, pmi: &PmiRecord) -> PhaseId {
+        self.config
+            .engine
+            .phase_map()
+            .classify_rate(pmi.metrics.mem_uop())
+    }
 
+    /// One PMI invocation: classify, predict, act.
+    fn handle_pmi(&mut self, cpu: &mut Cpu<'_>, pmi: &PmiRecord, state: &mut RunState) {
         // Integrate the thermal model through the elapsed interval.
-        let interval_power_w = if pmi.interval_seconds > 0.0 {
-            pmi.interval_energy_j / pmi.interval_seconds
-        } else {
-            0.0
-        };
         if let Some(thermal) = &mut state.thermal {
+            let interval_power_w = if pmi.interval_seconds > 0.0 {
+                pmi.interval_energy_j / pmi.interval_seconds
+            } else {
+                0.0
+            };
             thermal.advance(interval_power_w, pmi.interval_seconds);
         }
 
@@ -375,46 +364,27 @@ impl Manager {
         let toggled = cpu.pport_bits() ^ pport::PHASE_TOGGLE;
         cpu.set_pport_bits(toggled);
 
-        let (setting, standing) = match &mut self.decider {
-            Decider::Policy(policy) => {
-                // The pipeline the engine runs for its streams, inlined
-                // for decision makers outside it: score the standing
-                // prediction, decide, stand the next prediction.
-                let standing = state.scorer.pending();
-                if let Some((_, correct)) = state.scorer.score(phase) {
-                    metrics.record_scored(correct);
-                }
-                let sample = PhaseSample {
-                    rate: pmi.metrics.mem_uop(),
-                    phase,
-                };
-                let env = crate::policy::Environment {
-                    temperature_c: state.thermal.as_ref().map(|t| t.temperature_c()),
-                    current_setting: pmi.dvfs_index,
-                    interval_power_w,
-                };
-                let decide_started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
-                let setting = policy.decide_with_env(sample, &env);
-                metrics.record_decision(decide_started.elapsed());
-                state.transitions.record(env.current_setting, setting);
-                match policy.predicted_phase() {
-                    Some(p) => state.scorer.predict(p),
-                    None => state.scorer.clear_pending(),
-                }
-                (setting, standing)
-            }
-            Decider::Engine(engine) => {
+        let (phase, standing, setting) = match &mut self.engine {
+            None => (self.classify(pmi), None, 0),
+            Some(engine) => {
                 let standing = engine.pending(RUN_PID);
                 let decision = engine.step(&Sample {
                     pid: RUN_PID,
                     uops: pmi.metrics.uops_retired,
                     mem_transactions: pmi.metrics.mem_transactions,
                 });
-                debug_assert_eq!(
-                    decision.phase, phase,
-                    "engine classification must match the handler's"
-                );
-                (usize::from(decision.op_point), standing)
+                let setting = match &mut self.policy {
+                    None => usize::from(decision.op_point),
+                    Some(policy) => {
+                        let env = Environment {
+                            temperature_c: state.thermal.as_ref().map(|t| t.temperature_c()),
+                        };
+                        let setting = policy.decide(&decision, &env);
+                        state.transitions.record(pmi.dvfs_index, setting);
+                        setting
+                    }
+                };
+                (decision.phase, standing, setting)
             }
         };
         state.log_interval(pmi, phase, standing);
@@ -447,14 +417,14 @@ impl Manager {
 #[derive(Default)]
 struct RunState {
     intervals: Vec<IntervalLog>,
-    /// Prediction scoring for the policy path; engine-backed runs score
-    /// inside the engine instead.
-    scorer: StreamScorer,
     thermal: Option<livephase_pmsim::ThermalState>,
     durations: Option<DurationPredictor>,
-    /// DVFS transitions decided by the policy path, flushed to the
+    /// DVFS transitions applied by a policy override, flushed to the
     /// registry once at run end so the PMI path never formats a label.
-    /// Engine-backed runs account transitions inside the engine.
+    /// An override may apply a setting other than the engine's decision,
+    /// so `governor_dvfs_transitions_total` counts these in place of the
+    /// engine's own (decided) pairs; runs without an override leave this
+    /// empty and the engine accounts for them.
     transitions: TransitionTracker,
 }
 
@@ -479,8 +449,9 @@ impl RunState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Proactive, Reactive};
-    use livephase_workloads::{spec, WorkloadTrace};
+    use crate::table::TranslationTable;
+    use livephase_core::{Gpht, GphtConfig, LastValue, PhaseMap, PhaseSample, Predictor};
+    use livephase_workloads::spec;
 
     fn short_trace(name: &str, len: usize) -> WorkloadTrace {
         spec::benchmark(name).unwrap().with_length(len).generate(11)
@@ -573,42 +544,48 @@ mod tests {
         );
     }
 
-    /// The engine-backed constructors must be drop-in replacements for
-    /// the policy objects they retired: same decisions, same scoring,
-    /// same report, interval for interval.
+    /// The engine-backed managers against an independent reference: the
+    /// paper's PMI flow written out as a loop over `Predictor::next` and
+    /// `TranslationTable::setting_for` — same phases, decisions, scoring
+    /// and standing predictions, interval for interval.
     #[test]
-    fn engine_backed_managers_match_their_policy_equivalents() {
-        let cases: [(Manager, Manager); 2] = [
+    fn engine_backed_managers_match_a_reference_loop() {
+        let trace = short_trace("applu_in", 120);
+        let platform = PlatformConfig::pentium_m();
+        let map = PhaseMap::pentium_m();
+        let table = TranslationTable::pentium_m();
+        let cases: [(Manager, Box<dyn Predictor>, &str); 2] = [
             (
                 Manager::reactive(),
-                Manager::new(
-                    Box::new(Reactive::new(TranslationTable::pentium_m())),
-                    ManagerConfig::pentium_m(),
-                ),
+                Box::new(LastValue::new()),
+                "Reactive(LastValue)",
             ),
             (
                 Manager::gpht_deployed(),
-                Manager::new(
-                    Box::new(Proactive::gpht_deployed()),
-                    ManagerConfig::pentium_m(),
-                ),
+                Box::new(Gpht::new(GphtConfig::DEPLOYED)),
+                "Proactive(GPHT_8_128)",
             ),
         ];
-        for (engine_backed, policy_backed) in cases {
-            let trace = short_trace("applu_in", 120);
-            let platform = PlatformConfig::pentium_m();
-            let a = engine_backed.run(&trace, &platform);
-            let b = policy_backed.run(&trace, &platform);
-            assert_eq!(a.policy, b.policy, "names agree");
-            assert_eq!(a.prediction, b.prediction, "scoring agrees");
-            assert_eq!(a.decision_trace(), b.decision_trace(), "decisions agree");
-            assert_eq!(a.dvfs_transitions, b.dvfs_transitions);
-            assert_eq!(a.intervals.len(), b.intervals.len());
-            for (x, y) in a.intervals.iter().zip(&b.intervals) {
-                assert_eq!(x.phase, y.phase);
-                assert_eq!(x.predicted, y.predicted);
-                assert_eq!(x.dvfs_index, y.dvfs_index);
+        for (manager, mut predictor, name) in cases {
+            let report = manager.run(&trace, &platform);
+            assert_eq!(report.policy, name);
+            let mut standing = None;
+            let mut correct = 0;
+            let mut decisions = Vec::new();
+            for interval in &report.intervals {
+                let phase = map.classify(interval.mem_uop);
+                assert_eq!(interval.phase, phase);
+                assert_eq!(interval.predicted, standing);
+                correct += u64::from(standing == Some(phase));
+                let predicted = predictor.next(PhaseSample::new(interval.mem_uop, phase));
+                decisions.push(table.setting_for(predicted));
+                standing = Some(predicted);
             }
+            // The last decision governs no interval.
+            decisions.pop();
+            assert_eq!(report.decision_trace(), decisions, "{name}");
+            assert_eq!(report.prediction.total, trace.len() as u64 - 1);
+            assert_eq!(report.prediction.correct, correct, "{name}");
         }
     }
 }

@@ -117,15 +117,18 @@ impl<'p> Session<'p> {
         self.run(Manager::gpht_deployed_with(self.config.clone()), workload)
     }
 
-    /// Runs `workload` under an arbitrary policy with this session's
-    /// handler configuration.
+    /// Runs `workload` under the deployed GPHT system with `policy`
+    /// overriding its decisions.
     #[must_use]
     pub fn run_policy(
         &self,
         policy: Box<dyn Policy>,
         workload: impl IntoIntervalSource,
     ) -> RunReport {
-        self.run(Manager::new(policy, self.config.clone()), workload)
+        self.run(
+            Manager::gpht_deployed_with(self.config.clone()).with_policy(policy),
+            workload,
+        )
     }
 
     /// Runs `workload` under a fully custom manager on the shared platform.

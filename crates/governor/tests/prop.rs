@@ -1,10 +1,9 @@
 //! Property-based tests for the governor: translation tables, policies,
 //! the conservative derivation and run comparisons.
 
-use livephase_core::{PhaseId, PhaseSample};
-use livephase_governor::{
-    ConservativeDerivation, Manager, Policy, Proactive, Reactive, TranslationTable,
-};
+use livephase_core::{PhaseId, PhaseMap};
+use livephase_engine::{DecisionEngine, EngineConfig, Sample};
+use livephase_governor::{ConservativeDerivation, Manager, TranslationTable};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{registry, PhaseLevel, WorkloadTrace};
 use proptest::prelude::*;
@@ -31,13 +30,17 @@ proptest! {
         prop_assert_eq!(beyond, *table.settings().last().unwrap());
     }
 
-    /// A reactive policy is pure table lookup of the observed phase.
+    /// A reactive (last-value) engine is pure table lookup of the
+    /// observed phase.
     #[test]
-    fn reactive_is_table_of_last(table in arb_table(), phases in proptest::collection::vec(1u8..=6, 1..50)) {
-        let mut r = Reactive::new(table.clone());
-        for &p in &phases {
-            let got = r.decide(PhaseSample::new(0.01, PhaseId::new(p)));
-            prop_assert_eq!(got, table.setting_for(PhaseId::new(p)));
+    fn reactive_is_table_of_last(table in arb_table(), mems in proptest::collection::vec(0u64..8_000_000, 1..50)) {
+        let map = PhaseMap::pentium_m();
+        let config = EngineConfig::new("pentium_m", map.clone(), table.clone()).unwrap();
+        let mut r = DecisionEngine::from_spec(config, "lastvalue").unwrap();
+        for &mem_transactions in &mems {
+            let d = r.step(&Sample { pid: 0, uops: 100_000_000, mem_transactions });
+            let observed = map.classify(mem_transactions as f64 / 1e8);
+            prop_assert_eq!(usize::from(d.op_point), table.setting_for(observed));
         }
     }
 
@@ -66,17 +69,15 @@ proptest! {
         prop_assert!(strict <= loose, "strict {strict} vs loose {loose} at {probe}");
     }
 
-    /// A proactive policy with any predictor only ever emits settings from
-    /// its table.
+    /// A proactive (GPHT) engine only ever emits settings from its table.
     #[test]
     fn proactive_stays_in_table(table in arb_table(), phases in proptest::collection::vec(1u8..=6, 1..60)) {
-        let mut p = Proactive::new(
-            livephase_core::Gpht::new(livephase_core::GphtConfig::DEPLOYED),
-            table.clone(),
-        );
+        let config = EngineConfig::new("pentium_m", PhaseMap::pentium_m(), table.clone()).unwrap();
+        let mut p = DecisionEngine::from_spec(config, "gpht:8:128").unwrap();
         for &ph in &phases {
-            let got = p.decide(PhaseSample::new(f64::from(ph) * 0.004, PhaseId::new(ph)));
-            prop_assert!(table.settings().contains(&got));
+            let mem_transactions = u64::from(ph) * 400_000;
+            let d = p.step(&Sample { pid: 0, uops: 100_000_000, mem_transactions });
+            prop_assert!(table.settings().contains(&usize::from(d.op_point)));
         }
     }
 
@@ -95,34 +96,6 @@ proptest! {
         prop_assert!(managed.average_power_w() <= base.average_power_w() + 1e-9);
     }
 
-    /// A min-dwell gate can never emit more than one setting change per
-    /// `min_dwell` decisions, on any request stream.
-    #[test]
-    fn min_dwell_bounds_the_switch_rate(
-        phases in proptest::collection::vec(1u8..=6, 10..200),
-        dwell in 1u32..8,
-    ) {
-        use livephase_governor::MinDwell;
-        let mut p = MinDwell::new(
-            Reactive::new(TranslationTable::pentium_m()),
-            dwell,
-        );
-        let mut last = None;
-        let mut switches = 0u32;
-        for &ph in &phases {
-            let got = p.decide(PhaseSample::new(0.01, PhaseId::new(ph)));
-            if last.is_some_and(|l| l != got) {
-                switches += 1;
-            }
-            last = Some(got);
-        }
-        let bound = (phases.len() as u32).div_ceil(dwell);
-        prop_assert!(
-            switches <= bound,
-            "{switches} switches > bound {bound} at dwell {dwell}"
-        );
-    }
-
     /// Adaptive sampling never loses or duplicates work, whatever the
     /// multiplier cap, and never takes more interrupts than fixed sampling.
     #[test]
@@ -136,16 +109,13 @@ proptest! {
         let trace = spec.generate(7);
         let platform = PlatformConfig::pentium_m();
         let fixed = Manager::gpht_deployed().run(&trace, &platform);
-        let adaptive = Manager::new(
-            Box::new(livephase_governor::Proactive::gpht_deployed()),
-            ManagerConfig {
-                adaptive_sampling: Some(AdaptiveSampling {
-                    base_uops: 100_000_000,
-                    max_multiplier,
-                }),
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let adaptive = Manager::gpht_deployed_with(ManagerConfig {
+            adaptive_sampling: Some(AdaptiveSampling {
+                base_uops: 100_000_000,
+                max_multiplier,
+            }),
+            ..ManagerConfig::pentium_m()
+        })
         .run(&trace, &platform);
         prop_assert_eq!(adaptive.totals.uops, fixed.totals.uops);
         prop_assert_eq!(adaptive.totals.instructions, fixed.totals.instructions);
@@ -160,24 +130,19 @@ proptest! {
         idx in 0usize..33,
         limit in 55.0f64..90.0,
     ) {
-        use livephase_core::{Gpht, GphtConfig};
         use livephase_governor::{ManagerConfig, PowerEstimator, ThermalAware};
         use livephase_pmsim::ThermalModel;
         let spec = registry().swap_remove(idx).with_length(120);
         let trace = spec.generate(3);
-        let report = Manager::new(
-            Box::new(ThermalAware::new(
-                Gpht::new(GphtConfig::DEPLOYED),
-                TranslationTable::pentium_m(),
-                PowerEstimator::pentium_m(),
-                ThermalModel::pentium_m(),
-                limit,
-            )),
-            ManagerConfig {
-                thermal: Some(ThermalModel::pentium_m()),
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let report = Manager::gpht_deployed_with(ManagerConfig {
+            thermal: Some(ThermalModel::pentium_m()),
+            ..ManagerConfig::pentium_m()
+        })
+        .with_policy(Box::new(ThermalAware::new(
+            PowerEstimator::pentium_m(),
+            ThermalModel::pentium_m(),
+            limit,
+        )))
         .run(&trace, &PlatformConfig::pentium_m());
         let peak = report.peak_temperature_c.expect("tracked");
         prop_assert!(

@@ -11,8 +11,8 @@
 //! pin down.
 //!
 //! What remains serve-specific here is small by design: the
-//! [`shard_for`] placement hash, and the sample/decision shapes the
-//! shard loop batches through [`SessionState::apply_batch`].
+//! sample/decision shapes the shard loop batches through
+//! [`SessionState::apply_batch`].
 
 use livephase_core::PredictorSpecError;
 use livephase_engine::DecisionEngine;
@@ -70,31 +70,11 @@ impl SessionState {
     }
 }
 
-/// Deterministic shard assignment: FNV-1a over the client id, modulo the
-/// shard count. Stable across runs and platforms, so a reconnecting
-/// client always lands on the same shard.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero — a server always has at least one shard,
-/// enforced when its configuration is validated.
-#[must_use]
-pub fn shard_for(client_id: u64, shards: usize) -> usize {
-    assert!(shards > 0, "a server has at least one shard");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client_id.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // `h % shards` is < shards by construction, and shards fits usize.
-    (h % shards as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livephase_core::predictor_from_spec;
-    use livephase_governor::{Manager, ManagerConfig, Proactive, TranslationTable};
+    use livephase_core::{LastValue, PhaseMap, PhaseSample, Predictor};
+    use livephase_governor::{Manager, TranslationTable};
     use livephase_pmsim::PlatformConfig;
     use livephase_workloads::{counter_samples, spec};
 
@@ -149,27 +129,26 @@ mod tests {
         assert_eq!(got, expected, "batched decisions are bit-identical");
     }
 
+    /// A custom-predictor session against an independent reference: the
+    /// PMI flow written out as a loop over `Predictor::next` and
+    /// `TranslationTable::setting_for`.
     #[test]
-    fn custom_predictor_sessions_match_their_manager() {
+    fn custom_predictor_sessions_match_a_reference_loop() {
         let config = EngineConfig::pentium_m();
         let bench = spec::benchmark("crafty_in").unwrap().with_length(60);
         let mut session = SessionState::new(&config, "lastvalue").unwrap();
-        let decisions: Vec<u8> = counter_samples(bench.stream(5))
-            .map(|s| session.apply(1, s.uops, s.mem_transactions).op_point)
-            .collect();
-
-        let manager = Manager::new(
-            Box::new(Proactive::new(
-                predictor_from_spec("lastvalue").unwrap(),
-                TranslationTable::pentium_m(),
-            )),
-            ManagerConfig::pentium_m(),
-        );
-        let expected = manager
-            .run(bench.stream(5), &PlatformConfig::pentium_m())
-            .decision_trace();
-        for (i, (&got, &want)) in decisions.iter().zip(&expected).enumerate() {
-            assert_eq!(usize::from(got), want, "decision {i} diverged");
+        let map = PhaseMap::pentium_m();
+        let table = TranslationTable::pentium_m();
+        let mut reference = LastValue::new();
+        for (i, s) in counter_samples(bench.stream(5)).enumerate() {
+            let got = session.apply(1, s.uops, s.mem_transactions).op_point;
+            let rate = s.mem_transactions as f64 / s.uops as f64;
+            let predicted = reference.next(PhaseSample::new(rate, map.classify(rate)));
+            assert_eq!(
+                usize::from(got),
+                table.setting_for(predicted),
+                "decision {i} diverged"
+            );
         }
     }
 
@@ -195,19 +174,5 @@ mod tests {
         assert!(session.retire(1));
         assert_eq!(session.processes(), 1);
         assert!(!session.retire(1));
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1usize, 2, 7, 64] {
-            for client in 0..200u64 {
-                let s = shard_for(client, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_for(client, shards), "deterministic");
-            }
-        }
-        // FNV spreads consecutive ids over shards rather than striping.
-        let hits: std::collections::HashSet<usize> = (0..64u64).map(|c| shard_for(c, 8)).collect();
-        assert!(hits.len() >= 4, "consecutive ids cover several shards");
     }
 }

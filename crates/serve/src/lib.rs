@@ -49,7 +49,7 @@ pub(crate) mod shard;
 pub mod wire;
 
 pub use client::{Client, ClientError, ServedDecision};
-pub use engine::{shard_for, Decision, EngineConfig, EngineConfigError, Sample, SessionState};
+pub use engine::{Decision, EngineConfig, EngineConfigError, Sample, SessionState};
 pub use loadgen::{Agreement, LoadGenConfig, LoadGenError, LoadReport};
 pub use server::{spawn, ServerConfig, ServerHandle, ServerSummary};
 pub use wire::{ErrorCode, Frame, StatsSnapshot, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -5,7 +5,7 @@
 //! every connection it accepted (see [`crate::shard`] and
 //! [`crate::conn`]). One thread owns thousands of sockets; sessions
 //! never cross threads, so each shard exclusively owns the predictor
-//! state of the sessions hashed onto it — there is no lock around any
+//! state of the sessions it accepted — there is no lock around any
 //! GPHT. (The original thread-per-connection blocking engine served one
 //! release as the reactor's equivalence oracle and has been removed;
 //! the reactor tests now check bit-exactness directly against the

@@ -162,11 +162,12 @@ pub struct StatsSnapshot {
 pub enum Frame {
     /// Client → server, first frame: version handshake plus the session
     /// configuration (platform name and predictor spec, e.g.
-    /// `"pentium_m"` / `"gpht:8:128"`). `client_id` selects the shard.
+    /// `"pentium_m"` / `"gpht:8:128"`).
     Hello {
         /// Protocol version the client speaks.
         version: u16,
-        /// Stable client identity; shard assignment hashes this.
+        /// Stable client identity. It does not pick the shard: the shard
+        /// that wins the accept owns the connection.
         client_id: u64,
         /// Platform the client's counters come from.
         platform: String,

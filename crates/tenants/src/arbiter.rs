@@ -30,12 +30,11 @@
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
 use livephase_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// How the arbiter divides headroom among competing tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArbiterPolicy {
     /// Grant in priority order, fastest affordable setting each.
     Priority,

@@ -1,10 +1,9 @@
 //! Workload traces and their characterization statistics.
 
 use livephase_pmsim::timing::IntervalWork;
-use serde::{Deserialize, Serialize};
 
 /// A generated workload: a named sequence of sampling-interval work chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTrace {
     name: String,
     intervals: Vec<IntervalWork>,
@@ -97,7 +96,7 @@ impl<'a> IntoIterator for &'a WorkloadTrace {
 
 /// Stability / power-saving-potential statistics of a workload, matching
 /// the axes of the paper's Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Average Mem/Uop — "how much potential exists to slow down the CPU":
     /// the x-axis of Figure 3.

@@ -11,10 +11,9 @@
 //! worst-case slowdown by 5 % — all reconfigured without touching the
 //! predictor or the platform.
 
-use livephase::core::{Gpht, GphtConfig, PhaseMap};
-use livephase::governor::{
-    ConservativeDerivation, Manager, ManagerConfig, Proactive, TranslationTable,
-};
+use livephase::core::PhaseMap;
+use livephase::engine::EngineConfig;
+use livephase::governor::{ConservativeDerivation, Manager, ManagerConfig, TranslationTable};
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
 
@@ -31,16 +30,10 @@ fn main() {
     //     0.02 Mem/Uop, mapped to 1500 MHz / 800 MHz.
     let coarse_map = PhaseMap::new(vec![0.02]).expect("one boundary");
     let coarse_table = TranslationTable::new(vec![0, 4], 6).expect("valid");
-    let coarse = Manager::new(
-        Box::new(Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            coarse_table,
-        )),
-        ManagerConfig {
-            phase_map: coarse_map,
-            ..ManagerConfig::pentium_m()
-        },
-    )
+    let coarse = Manager::gpht_deployed_with(ManagerConfig {
+        engine: EngineConfig::new("pentium_m", coarse_map, coarse_table).expect("encodable"),
+        ..ManagerConfig::pentium_m()
+    })
     .run(&trace, &platform);
 
     // (c) Conservative definitions derived from the IPCxMEM

@@ -127,8 +127,8 @@ fn online_and_offline_prediction_scores_agree() {
 /// rest of the stack (the paper's deployment-time flexibility claim).
 #[test]
 fn phase_map_reconfiguration_is_isolated() {
-    use livephase::core::{Gpht, GphtConfig};
-    use livephase::governor::{Proactive, TranslationTable};
+    use livephase::engine::EngineConfig;
+    use livephase::governor::TranslationTable;
 
     let trace = spec::benchmark("swim_in")
         .unwrap()
@@ -138,16 +138,15 @@ fn phase_map_reconfiguration_is_isolated() {
 
     // Single-phase map: everything is "phase 1" -> setting 0: must behave
     // exactly like the baseline modulo handler overhead.
-    let degenerate = Manager::new(
-        Box::new(Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
+    let degenerate = Manager::gpht_deployed_with(ManagerConfig {
+        engine: EngineConfig::new(
+            "pentium_m",
+            PhaseMap::new(vec![1.0]).unwrap(),
             TranslationTable::new(vec![0, 0], 6).unwrap(),
-        )),
-        ManagerConfig {
-            phase_map: PhaseMap::new(vec![1.0]).unwrap(),
-            ..ManagerConfig::pentium_m()
-        },
-    )
+        )
+        .unwrap(),
+        ..ManagerConfig::pentium_m()
+    })
     .run(&trace, &platform);
     assert_eq!(degenerate.dvfs_transitions, 0);
 
