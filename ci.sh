@@ -117,6 +117,19 @@ echo "$tenants_a" | grep -q '^tenants_context_switches_total ' \
     || { echo "tenants: context-switch counter missing from telemetry"; exit 1; }
 echo "tenants smoke gate passed (digest $digest_a)"
 
+# Pinned tenants digests: each line of results/tenants/digests.txt is
+# "<digest>  <tenants arguments>", and every listed scenario must still
+# produce its committed cluster decision digest — agreement between two
+# runs of the current build (above) cannot catch a change both share.
+tenant_digests=$(while IFS= read -r line; do
+    args=${line#*  }
+    # shellcheck disable=SC2086 # the arguments are split on purpose
+    echo "$("$cli" tenants $args | sed -n 's/^cluster decision digest //p')  $args"
+done < results/tenants/digests.txt)
+diff <(echo "$tenant_digests") results/tenants/digests.txt \
+    || { echo "tenants: cluster decision digests differ from results/tenants/digests.txt"; exit 1; }
+echo "tenants digest pins passed ($(wc -l < results/tenants/digests.txt) scenarios)"
+
 # Reactor scale gate: 5000 concurrent connections through the epoll
 # reactor, every stream held open at once and bit-exact against the
 # in-process manager. Each side (server, load generator) needs one fd

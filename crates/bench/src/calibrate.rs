@@ -3,35 +3,43 @@
 //!
 //! Hardcoded millisecond thresholds make a perf gate a liar on any
 //! machine other than the one that wrote them. Instead the harness
-//! measures a **bundled calibration workload** — a fixed
-//! `DecisionEngine::step_many` run over a deterministic interval stream,
-//! the exact pipeline the paper deploys in its PMI handler — once per
-//! invocation, and every bench area reports its cost as a *ratio to
-//! that baseline*. A fast machine shrinks both numerator and
-//! denominator; the ratio survives the trip from a dev laptop to a
-//! loaded CI runner.
+//! measures a **fixed calibration kernel** once per invocation, and
+//! every bench area reports its cost as a *ratio to that baseline*. A
+//! fast machine shrinks both numerator and denominator; the ratio
+//! survives the trip from a dev laptop to a loaded CI runner.
+//!
+//! The kernel imports nothing from the workspace: a fold of integer
+//! hashes over a 256 KiB table, each step loading the word its hash
+//! picks. That is the shape of a decision — hash, then a cache-resident
+//! load — without being one, so speeding up the engine (or any other
+//! area) moves that area's ratio instead of the baseline it is divided
+//! by. The steps are independent loads written in the workspace's own
+//! idiom (`.get()`, iterator folds), so the kernel slows down in an
+//! unoptimized test build about as much as the code it is compared
+//! with, and a debug build's ratios stay within the gate's headroom.
 //!
 //! The measurement is cached in a process-wide `OnceLock`, so a run
 //! over many areas calibrates exactly once.
 
 use crate::stats::Summary;
-use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
-use livephase_workloads::{counter_samples, spec};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Samples in the calibration batch. Large enough that one rep takes
-/// hundreds of microseconds (clock granularity disappears), small
-/// enough that warmup + reps stays well under the ~200 ms budget the
-/// whole calibration is allowed.
-pub const CALIBRATION_BATCH: usize = 8_192;
-/// Timed repetitions of the calibration batch.
+/// Words in the kernel's table: 256 KiB, larger than L1 and within L2
+/// on common cores, like the engine's per-pid working set.
+pub const KERNEL_WORDS: usize = 1 << 15;
+/// Hash-and-load steps in one calibration rep: about a millisecond on a
+/// 2.7 GHz Xeon, long enough that clock granularity disappears and
+/// short enough that warmup + reps stay well under the ~200 ms budget
+/// the whole calibration is allowed.
+pub const KERNEL_STEPS: u64 = 1 << 18;
+/// Timed repetitions of the calibration kernel.
 pub const CALIBRATION_REPS: usize = 15;
 /// Untimed warmup repetitions before the timed ones.
 pub const CALIBRATION_WARMUP: usize = 3;
 
-/// The calibration result: the machine's baseline cost for the bundled
-/// workload, plus how noisy the measurement itself was.
+/// The calibration result: the machine's baseline cost for the
+/// calibration kernel, plus how noisy the measurement itself was.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Median wall-clock nanoseconds for one calibration rep.
@@ -60,56 +68,43 @@ impl Calibration {
     }
 }
 
-/// The deterministic sample batch the calibration workload steps
-/// through: a real workload trace round-robined across 16 pids, the way
-/// a serve shard's drained queue interleaves sessions. Also reused by
-/// the engine bench areas so their ratios measure code, not workload
-/// differences.
-#[must_use]
-pub fn calibration_samples(batch: usize) -> Vec<Sample> {
-    const PIDS: u32 = 16;
-    let trace = spec::benchmark("applu_in")
-        .expect("applu_in is registered")
-        .with_length(batch / PIDS as usize + 1)
-        .generate(1);
-    let per_pid: Vec<(u64, u64)> = counter_samples(&trace)
-        .map(|s| (s.uops, s.mem_transactions))
-        .collect();
-    let mut samples = Vec::with_capacity(batch);
-    'outer: for &(uops, mem_transactions) in &per_pid {
-        for pid in 0..PIDS {
-            samples.push(Sample {
-                pid,
-                uops,
-                mem_transactions,
-            });
-            if samples.len() == batch {
-                break 'outer;
-            }
-        }
-    }
-    samples
+/// The splitmix64 finalizer: a fixed, well-mixed integer hash.
+fn mix(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
-/// A fresh engine configured the way every deployment site configures
-/// it.
-fn engine() -> DecisionEngine {
-    DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128")
-        .expect("the deployed predictor spec is valid")
+/// The kernel's table: [`KERNEL_WORDS`] hashed words.
+fn kernel_table() -> Vec<u64> {
+    (0..KERNEL_WORDS as u64).map(mix).collect()
 }
 
-/// Runs the calibration workload now, uncached. Exposed for tests and
+/// One calibration rep: [`KERNEL_STEPS`] steps, each hashing its step
+/// number, loading the table word the hash picks and folding that
+/// word's hash into the result.
+fn kernel(table: &[u64], seed: u64) -> u64 {
+    let mask = table.len().wrapping_sub(1);
+    (0..KERNEL_STEPS).fold(seed, |acc, i| {
+        let word = table
+            .get(mix(i ^ seed) as usize & mask)
+            .copied()
+            .unwrap_or(i);
+        acc.rotate_left(5) ^ mix(word)
+    })
+}
+
+/// Runs the calibration kernel now, uncached. Exposed for tests and
 /// for the variance measurement; production callers want
 /// [`calibration`].
 #[must_use]
 pub fn measure_calibration() -> Calibration {
-    let samples = calibration_samples(CALIBRATION_BATCH);
-    let mut engine = engine();
-    let mut decisions: Vec<Decision> = Vec::with_capacity(samples.len());
+    let table = kernel_table();
+    let mut seed = 0u64;
     let mut rep = || {
-        decisions.clear();
-        engine.step_many(&samples, &mut decisions);
-        std::hint::black_box(decisions.last().map_or(0, |d| d.op_point));
+        seed = std::hint::black_box(kernel(&table, seed));
     };
     for _ in 0..CALIBRATION_WARMUP {
         rep();
@@ -145,12 +140,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn calibration_samples_are_deterministic_and_sized() {
-        let a = calibration_samples(256);
-        let b = calibration_samples(256);
-        assert_eq!(a.len(), 256);
-        assert_eq!(a, b);
-        assert!(a.iter().any(|s| s.pid != a[0].pid), "pids interleave");
+    fn kernel_is_deterministic_and_walks_the_table() {
+        let table = kernel_table();
+        assert_eq!(table.len(), KERNEL_WORDS);
+        assert!(KERNEL_WORDS.is_power_of_two(), "the walk masks indices");
+        assert_eq!(kernel(&table, 7), kernel(&table, 7));
+        assert_ne!(kernel(&table, 7), kernel(&table, 8));
     }
 
     #[test]

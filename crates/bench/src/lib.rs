@@ -2,9 +2,9 @@
 //!
 //! The calibrated gate harness that `livephase-cli bench` and ci.sh
 //! run: a zero-dependency, in-process benchmark pipeline. [`calibrate`]
-//! measures a bundled calibration workload — a fixed
-//! `DecisionEngine::step_many` run over a deterministic interval stream
-//! — once per invocation (cached in a `OnceLock`); [`areas`] registers every hot path worth gating
+//! measures a fixed integer-hash and memory-walk kernel that imports
+//! nothing from the workspace — once per invocation (cached in a
+//! `OnceLock`); [`areas`] registers every hot path worth gating
 //! (engine stepping, wire framing, histogram math, workload
 //! generation, the tenants scheduler) and reports each as a **ratio to
 //! that baseline**, so thresholds survive the trip between machines of

@@ -47,6 +47,7 @@ pub mod eval;
 pub mod metrics;
 pub mod phase;
 pub mod predict;
+pub mod recency;
 
 pub use eval::{
     evaluate, evaluate_confusion, evaluate_trace, ConfusionMatrix, EvaluationTrace,
@@ -65,3 +66,4 @@ pub use predict::per_process::PerProcess;
 pub use predict::spec::{from_spec as predictor_from_spec, PredictorSpecError};
 pub use predict::variable_window::VariableWindow;
 pub use predict::{PhaseSample, Predictor};
+pub use recency::RecencyList;

@@ -9,14 +9,18 @@
 //! Per Section 3 of the paper, each PMI the predictor:
 //!
 //! 1. shifts the newly observed phase into the GPHR;
-//! 2. associatively compares the GPHR against the stored PHT tags;
+//! 2. looks the GPHR up among the stored PHT tags — an exact match, as
+//!    the paper's associative search, but through a hash index: a step
+//!    hashes and compares `gphr_depth` bytes (O(depth), independent of
+//!    the table size) and allocates nothing once the table is full;
 //! 3. on a **match**, emits the stored next-phase prediction and, at the
 //!    *next* sampling period, updates that entry's prediction with the
 //!    actually observed phase;
 //! 4. on a **mismatch**, falls back to last-value prediction (`GPHR[0]`)
 //!    and inserts the current GPHR into the PHT, evicting the least
-//!    recently used entry when the table is full (an `Age/Invalid` field
-//!    tracks both validity and recency).
+//!    recently used entry when the table is full (the paper's
+//!    `Age/Invalid` field becomes fill-order row allocation plus an
+//!    intrusive recency list whose tail is the victim).
 //!
 //! With a PHT of one entry the predictor degenerates to last-value (nearly
 //! 100 % tag mismatches), which the paper observes in Figure 5 and which is
@@ -24,7 +28,7 @@
 
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use std::collections::VecDeque;
+use crate::recency::RecencyList;
 
 /// Sizing of a [`Gpht`] predictor.
 ///
@@ -68,16 +72,43 @@ impl Default for GphtConfig {
     }
 }
 
-/// A valid pattern-history-table row: a GPHR-pattern tag, the phase that is
-/// predicted to follow it, and an age stamp for LRU replacement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PhtEntry {
-    /// The phase pattern this row matches (most recent phase first).
-    tag: Box<[PhaseId]>,
+/// Marks an empty index slot.
+const NIL: u32 = u32::MAX;
+
+/// The bookkeeping of one valid PHT row; its tag bytes live in
+/// `Gpht::tags` at the same row index.
+#[derive(Debug, Clone, Copy)]
+struct Row {
     /// The next-phase prediction associated with the tag.
     prediction: PhaseId,
-    /// Logical timestamp of the last touch, for LRU replacement.
-    age: u64,
+    /// [`tag_hash`] of the row's tag, kept so eviction and index growth
+    /// never rehash tag bytes.
+    hash: u32,
+}
+
+/// One open-addressing index slot: a tag hash and the row holding that
+/// tag, or `row == NIL` when the slot is empty.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u32,
+    row: u32,
+}
+
+const EMPTY: Slot = Slot { hash: 0, row: NIL };
+
+/// Hashes a GPHR pattern, eight phases per multiply (Fibonacci hashing).
+/// The index takes its slot from the hash's *top* bits, the ones every
+/// input byte reaches, so one code path serves every depth.
+fn tag_hash(tag: &[u8]) -> u32 {
+    let mut h = 0u64;
+    for chunk in tag.chunks(8) {
+        let mut word = [0u8; 8];
+        for (w, &b) in word.iter_mut().zip(chunk) {
+            *w = b;
+        }
+        h = (h.rotate_left(29) ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    (h >> 32) as u32
 }
 
 /// The Global Phase History Table predictor.
@@ -105,15 +136,25 @@ struct PhtEntry {
 #[derive(Debug, Clone)]
 pub struct Gpht {
     config: GphtConfig,
-    /// Most recent phase at the front (`GPHR[0]`).
-    gphr: VecDeque<PhaseId>,
-    /// `None` = invalid row (the paper's `-1` age marker).
-    pht: Vec<Option<PhtEntry>>,
-    /// Logical clock driving LRU ages.
-    tick: u64,
+    /// The GPHR, most recent phase first (`GPHR[0]`); only the first
+    /// `filled` bytes hold phases.
+    gphr: Box<[u8]>,
+    filled: usize,
+    /// Tags of the valid rows, `gphr_depth` bytes per row, rows in fill
+    /// order (the order the paper's "first invalid row" picks).
+    tags: Vec<u8>,
+    rows: Vec<Row>,
+    /// Open-addressing index from tag hash to row: linear probing,
+    /// backward-shift deletion, at most half full.
+    index: Vec<Slot>,
+    /// `32 - log2(index.len())`: a hash's home slot is `hash >> shift`.
+    shift: u32,
+    /// Rows by last use; the LRU row is the victim once every row is
+    /// valid (the paper's `Age` field, as a linked list).
+    recency: RecencyList,
     /// Row used (matched or inserted) in the previous period, whose
     /// prediction is trained by the next observed phase.
-    pending_update: Option<usize>,
+    pending_update: Option<u32>,
     /// The prediction emitted for the upcoming interval.
     prediction: PhaseId,
     /// Running count of PHT tag hits (for diagnostics / ablations).
@@ -123,7 +164,10 @@ pub struct Gpht {
 }
 
 impl Gpht {
-    /// Creates a GPHT predictor with the given sizing.
+    /// Creates a GPHT predictor with the given sizing. Only the GPHR is
+    /// allocated up front; PHT rows and the index grow as patterns are
+    /// inserted, and once the table is full an insert reuses the
+    /// evicted row's storage.
     ///
     /// # Panics
     ///
@@ -133,9 +177,13 @@ impl Gpht {
         config.validate();
         Self {
             config,
-            gphr: VecDeque::with_capacity(config.gphr_depth),
-            pht: vec![None; config.pht_entries],
-            tick: 0,
+            gphr: vec![0; config.gphr_depth].into_boxed_slice(),
+            filled: 0,
+            tags: Vec::new(),
+            rows: Vec::new(),
+            index: Vec::new(),
+            shift: 32,
+            recency: RecencyList::new(),
             pending_update: None,
             prediction: PhaseId::CPU_BOUND,
             hits: 0,
@@ -152,7 +200,7 @@ impl Gpht {
     /// Number of currently valid PHT rows.
     #[must_use]
     pub fn valid_entries(&self) -> usize {
-        self.pht.iter().filter(|e| e.is_some()).count()
+        self.rows.len()
     }
 
     /// PHT tag hits since construction or [`reset`](Predictor::reset).
@@ -170,86 +218,188 @@ impl Gpht {
     /// The current GPHR contents, most recent phase first.
     #[must_use]
     pub fn history(&self) -> Vec<PhaseId> {
-        self.gphr.iter().copied().collect()
+        self.gphr
+            .iter()
+            .take(self.filled)
+            .map(|&p| PhaseId::new(p))
+            .collect()
     }
 
-    fn gphr_matches(&self, entry: &PhtEntry) -> bool {
-        entry.tag.len() == self.gphr.len()
-            && entry.tag.iter().zip(self.gphr.iter()).all(|(a, b)| a == b)
+    fn tag(&self, row: u32) -> Option<&[u8]> {
+        let depth = self.config.gphr_depth;
+        let start = row as usize * depth;
+        self.tags.get(start..start + depth)
     }
 
-    /// Index of the row to victimize: an invalid row if any, else the LRU.
-    fn victim(&self) -> usize {
-        let mut lru = 0;
-        let mut lru_age = u64::MAX;
-        for (i, row) in self.pht.iter().enumerate() {
-            match row {
-                None => return i,
-                Some(e) => {
-                    if e.age < lru_age {
-                        lru_age = e.age;
-                        lru = i;
-                    }
-                }
+    fn home(&self, hash: u32) -> usize {
+        // `shift` is 32 only while the index is empty, and no probe
+        // runs then; `checked_shr` keeps that case panic-free anyway.
+        hash.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// Index positions in `hash`'s probe order, each visited once, so
+    /// no probe loop can outlive a corrupted index.
+    fn probe(&self, hash: u32) -> impl Iterator<Item = usize> {
+        let mask = self.index.len().wrapping_sub(1);
+        let home = self.home(hash);
+        (0..self.index.len()).map(move |k| (home + k) & mask)
+    }
+
+    /// The row whose tag equals the GPHR, if any.
+    fn lookup(&self, hash: u32) -> Option<u32> {
+        for i in self.probe(hash) {
+            let slot = self.index.get(i)?;
+            if slot.row == NIL {
+                return None;
+            }
+            if slot.hash == hash && self.tag(slot.row) == Some(&*self.gphr) {
+                return Some(slot.row);
             }
         }
-        lru
+        None
+    }
+
+    fn index_insert(&mut self, slot: Slot) {
+        let free = self
+            .probe(slot.hash)
+            .find(|&i| self.index.get(i).is_some_and(|s| s.row == NIL));
+        if let Some(s) = free.and_then(|i| self.index.get_mut(i)) {
+            *s = slot;
+        }
+    }
+
+    /// Removes `row`'s slot, shifting later members of its probe run
+    /// back so every lookup still finds its key without tombstones.
+    fn index_remove(&mut self, row: u32, hash: u32) {
+        let found = self
+            .probe(hash)
+            .map_while(|i| {
+                self.index
+                    .get(i)
+                    .filter(|s| s.row != NIL)
+                    .map(|s| (i, s.row))
+            })
+            .find(|&(_, r)| r == row);
+        let Some((mut hole, _)) = found else {
+            return;
+        };
+        let mask = self.index.len().wrapping_sub(1);
+        let start = hole;
+        for k in 1..self.index.len() {
+            let j = (start + k) & mask;
+            let Some(&slot) = self.index.get(j).filter(|s| s.row != NIL) else {
+                break;
+            };
+            // Move the slot into the hole unless its home lies
+            // cyclically in (hole, j]: then it must stay past its home.
+            let home = self.home(slot.hash);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                if let Some(h) = self.index.get_mut(hole) {
+                    *h = slot;
+                }
+                hole = j;
+            }
+        }
+        if let Some(h) = self.index.get_mut(hole) {
+            *h = EMPTY;
+        }
+    }
+
+    /// Doubles the index while it would be more than half full with
+    /// `rows` entries.
+    fn reserve_index(&mut self, rows: usize) {
+        if rows * 2 <= self.index.len() {
+            return;
+        }
+        let len = (rows * 2).next_power_of_two();
+        self.index = vec![EMPTY; len];
+        self.shift = 32 - len.trailing_zeros();
+        for r in 0..self.rows.len() {
+            let hash = self.rows.get(r).map_or(0, |row| row.hash);
+            self.index_insert(Slot {
+                hash,
+                row: r as u32,
+            });
+        }
+    }
+
+    /// Inserts the GPHR as a new pattern predicting `prediction`: into
+    /// the next unused row while there is one, else over the LRU row.
+    fn insert(&mut self, hash: u32, prediction: PhaseId) -> u32 {
+        let row = Row { prediction, hash };
+        let victim = if self.rows.len() < self.config.pht_entries {
+            None
+        } else {
+            self.recency.lru()
+        };
+        let r = match victim {
+            None => {
+                self.reserve_index(self.rows.len() + 1);
+                self.tags.extend_from_slice(&self.gphr);
+                self.rows.push(row);
+                (self.rows.len() - 1) as u32
+            }
+            Some(r) => {
+                let old_hash = self.rows.get(r as usize).map_or(0, |v| v.hash);
+                self.index_remove(r, old_hash);
+                let depth = self.config.gphr_depth;
+                let start = r as usize * depth;
+                if let Some(tag) = self.tags.get_mut(start..start + depth) {
+                    tag.copy_from_slice(&self.gphr);
+                }
+                if let Some(v) = self.rows.get_mut(r as usize) {
+                    *v = row;
+                }
+                r
+            }
+        };
+        self.index_insert(Slot { hash, row: r });
+        self.recency.touch(r);
+        r
     }
 }
 
 impl Predictor for Gpht {
     fn observe(&mut self, sample: PhaseSample) {
-        self.tick += 1;
-
         // (3)/(4): train the row used last period with the actual outcome.
-        if let Some(i) = self.pending_update.take() {
-            if let Some(entry) = self.pht.get_mut(i).and_then(Option::as_mut) {
-                entry.prediction = sample.phase;
+        if let Some(r) = self.pending_update.take() {
+            if let Some(row) = self.rows.get_mut(r as usize) {
+                row.prediction = sample.phase;
             }
         }
 
         // (1) Shift the observed phase into the GPHR.
-        if self.gphr.len() == self.config.gphr_depth {
-            self.gphr.pop_back();
+        self.gphr.copy_within(..self.gphr.len() - 1, 1);
+        if let Some(front) = self.gphr.first_mut() {
+            *front = sample.phase.get();
         }
-        self.gphr.push_front(sample.phase);
-
-        if self.gphr.len() < self.config.gphr_depth {
+        if self.filled < self.config.gphr_depth {
+            self.filled += 1;
+        }
+        if self.filled < self.config.gphr_depth {
             // Warm-up: no full pattern yet; behave as last-value and do not
             // pollute the PHT with short tags.
             self.prediction = sample.phase;
             return;
         }
 
-        // (2) Associative tag search.
-        let hit = self
-            .pht
-            .iter()
-            .position(|slot| slot.as_ref().is_some_and(|e| self.gphr_matches(e)));
-
-        match hit {
-            Some(i) => {
+        // (2) Exact indexed tag lookup.
+        let hash = tag_hash(&self.gphr);
+        match self.lookup(hash) {
+            Some(r) => {
                 self.hits += 1;
-                if let Some(entry) = self.pht.get_mut(i).and_then(Option::as_mut) {
-                    entry.age = self.tick;
-                    self.prediction = entry.prediction;
+                self.recency.touch(r);
+                if let Some(row) = self.rows.get(r as usize) {
+                    self.prediction = row.prediction;
                 }
-                self.pending_update = Some(i);
+                self.pending_update = Some(r);
             }
             None => {
                 self.misses += 1;
-                // Fall back to last value and allocate the pattern.
+                // Fall back to last value and allocate the pattern, seeded
+                // with last value until trained next period.
                 self.prediction = sample.phase;
-                let i = self.victim();
-                if let Some(slot) = self.pht.get_mut(i) {
-                    *slot = Some(PhtEntry {
-                        tag: self.gphr.iter().copied().collect(),
-                        // Seed with last value until trained next period.
-                        prediction: sample.phase,
-                        age: self.tick,
-                    });
-                }
-                self.pending_update = Some(i);
+                self.pending_update = Some(self.insert(hash, sample.phase));
             }
         }
     }
@@ -259,9 +409,11 @@ impl Predictor for Gpht {
     }
 
     fn reset(&mut self) {
-        self.gphr.clear();
-        self.pht.iter_mut().for_each(|e| *e = None);
-        self.tick = 0;
+        self.filled = 0;
+        self.tags.clear();
+        self.rows.clear();
+        self.index.fill(EMPTY);
+        self.recency.clear();
         self.pending_update = None;
         self.prediction = PhaseId::CPU_BOUND;
         self.hits = 0;

@@ -7,7 +7,10 @@
 //! table index and keep only a tag check — O(1) per sample regardless of
 //! table size, at the cost of conflict misses. [`HashedGpht`] implements
 //! that design so the trade-off can be measured (see the
-//! `pht_organization` ablation and the Criterion benches).
+//! `pht_organization` ablation). The associative [`Gpht`](super::gpht::Gpht)
+//! is O(1) per step too — an exact hash index, timed as
+//! `core.gpht_ns_per_step` in the benchmark's traced run — so this lossy
+//! variant remains an accuracy ablation, not a speed trade.
 
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;

@@ -22,12 +22,12 @@
 //! to that run (the equivalence tests pin this down).
 
 use crate::config::EngineConfig;
+use crate::pids::{BoxedPredictorFactory, PidState, PidTable};
 use livephase_core::{
     predictor_from_spec, MemUopRate, PhaseId, PhaseSample, PredictionStats, Predictor,
-    PredictorSpecError, StreamScorer,
+    PredictorSpecError,
 };
 use livephase_telemetry::{Counter, Histogram};
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant}; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
 
@@ -248,127 +248,17 @@ impl Drop for TransitionTracker {
     }
 }
 
-/// FNV-1a for the pid → state map: pids are small integers and the map
-/// is looked up once per decision (once per *run* in `step_many`), so
-/// the default SipHash's DoS hardening buys nothing here and costs a
-/// measurable slice of the per-decision budget.
-#[derive(Debug, Default, Clone)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-#[derive(Debug, Default, Clone)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
-type PidMap = HashMap<u32, PidState, FnvBuild>;
-
-type BoxedPredictorFactory = Box<dyn Fn() -> Box<dyn Predictor> + Send>;
-
-/// Everything the engine keeps per process: the predictor instance, the
-/// streaming scorer, and the operating point last decided for it (for
-/// transition accounting).
-struct PidState {
-    predictor: Box<dyn Predictor>,
-    scorer: StreamScorer,
-    /// Operating point of the previous decision; 0 (the fastest setting)
-    /// initially, matching the simulated CPU's starting DVFS index.
-    last_op: u8,
-    /// Recency stamp for LRU eviction; 0 = freshly created, never yet in
-    /// the recency index (stamps handed out start at 1).
-    stamp: u64,
-}
-
-impl PidState {
-    fn new(factory: &BoxedPredictorFactory) -> Self {
-        Self {
-            predictor: factory(),
-            scorer: StreamScorer::new(),
-            last_op: 0,
-            stamp: 0,
-        }
-    }
-}
-
 /// Default capacity of the per-pid state map: generous enough for every
 /// scenario shipped today (the fleet stress tests run 10k+ pids) while
 /// still bounding a long-lived serve shard against pid churn.
 pub const DEFAULT_MAX_PIDS: usize = 65_536;
-
-/// Resolves (creating if needed) the state for `pid`, evicting the
-/// least-recently-used pid first when the map is at capacity, and marks
-/// `pid` most-recently-used. Free-standing so `step_many` can call it
-/// with the engine's fields individually borrowed.
-fn touch_pid_state<'m>(
-    pids: &'m mut PidMap,
-    lru: &mut BTreeMap<u64, u32>,
-    next_stamp: &mut u64,
-    max_pids: usize,
-    factory: &BoxedPredictorFactory,
-    metrics: &EngineMetrics,
-    pid: u32,
-) -> &'m mut PidState {
-    let cap = max_pids.max(1);
-    if !pids.contains_key(&pid) {
-        while pids.len() >= cap {
-            // lint:allow(panic-reachable): `.next()` here advances a BTreeMap
-            // iterator; the resolver's name+arity fan-out to
-            // `workloads::CounterSamples::next` is a false edge.
-            let Some((&oldest, &victim)) = lru.iter().next() else {
-                break;
-            };
-            lru.remove(&oldest);
-            if pids.remove(&victim).is_some() {
-                metrics.record_pid_evicted();
-            }
-        }
-    }
-    *next_stamp += 1;
-    let stamp = *next_stamp;
-    let state = pids.entry(pid).or_insert_with(|| PidState::new(factory));
-    if state.stamp != 0 {
-        lru.remove(&state.stamp);
-    }
-    state.stamp = stamp;
-    lru.insert(stamp, pid);
-    state
-}
 
 /// The canonical decision pipeline: per-pid predictor family, prediction
 /// scoring, and phase → operating-point translation behind one API.
 pub struct DecisionEngine {
     config: EngineConfig,
     factory: BoxedPredictorFactory,
-    pids: PidMap,
-    /// Recency index: stamp → pid, oldest stamp first. Every live pid has
-    /// exactly one entry; the map's first entry is the eviction victim.
-    lru: BTreeMap<u64, u32>,
-    /// Monotonic recency clock; the last stamp handed out.
-    next_stamp: u64,
+    pids: PidTable,
     /// Capacity bound on `pids`; least-recently-used streams are evicted
     /// (with their predictor history) once it is reached.
     max_pids: usize,
@@ -402,9 +292,7 @@ impl DecisionEngine {
         Self {
             config,
             factory: Box::new(factory),
-            pids: PidMap::default(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
+            pids: PidTable::new(),
             max_pids: DEFAULT_MAX_PIDS,
             name: format!("Proactive({predictor})"),
             predictor,
@@ -454,9 +342,11 @@ impl DecisionEngine {
         self.max_pids
     }
 
-    /// Overrides the display name (e.g. `Reactive(LastValue)` for the
-    /// prior-work reactive system, which is a last-value engine by
-    /// another name, or `Oracle` for the perfect-knowledge bound).
+    /// Overrides the display name used as the policy label in reports:
+    /// the governor's `Manager::reactive` labels its last-value engine
+    /// `Reactive(LastValue)` after the prior-work reactive system, and
+    /// `Manager::oracle_with` labels the perfect-knowledge bound
+    /// `Oracle`.
     #[must_use]
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -490,17 +380,17 @@ impl DecisionEngine {
             config,
             factory,
             pids,
-            lru,
-            next_stamp,
             max_pids,
             transitions,
             metrics,
             ..
         } = self;
-        let state = touch_pid_state(
-            pids, lru, next_stamp, *max_pids, factory, metrics, sample.pid,
-        );
-        let d = step_pid(config, metrics, transitions, state, sample);
+        let mut scored = PredictionStats::default();
+        let state = pids.touch(sample.pid, *max_pids, factory, || {
+            metrics.record_pid_evicted();
+        });
+        let d = step_pid(config, transitions, state, sample, &mut scored);
+        metrics.record_scored_totals(scored);
         metrics.record_decision(started.elapsed());
         d
     }
@@ -511,9 +401,9 @@ impl DecisionEngine {
     /// Equivalent to calling [`step`](Self::step) per sample — the
     /// equivalence tests assert bit-exactness — but runs of consecutive
     /// samples for the same pid resolve their predictor state with a
-    /// single map lookup, and `out` is grown once. This is the shard
-    /// loop's hot path: a busy connection's queued samples are decided
-    /// in one swing.
+    /// single map lookup, `out` is grown once, and the scoring counters
+    /// are published once per batch. This is the shard loop's hot path:
+    /// a busy connection's queued samples are decided in one swing.
     pub fn step_many(&mut self, samples: &[Sample], out: &mut Vec<Decision>) {
         if samples.is_empty() {
             return;
@@ -524,32 +414,32 @@ impl DecisionEngine {
             config,
             factory,
             pids,
-            lru,
-            next_stamp,
             max_pids,
             transitions,
             metrics,
             ..
         } = self;
-        let mut i = 0;
-        while i < samples.len() {
-            let pid = samples[i].pid; // lint:allow(no-panic-path): i < samples.len() by the loop guard
-            let state = touch_pid_state(pids, lru, next_stamp, *max_pids, factory, metrics, pid);
-            // lint:allow(no-panic-path): i < samples.len() by the inner guard
-            while i < samples.len() && samples[i].pid == pid {
-                out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(no-panic-path): i < samples.len() by the inner guard
-                i += 1;
+        let mut scored = PredictionStats::default();
+        for run in samples.chunk_by(|a, b| a.pid == b.pid) {
+            let Some(first) = run.first() else {
+                continue;
+            };
+            let state = pids.touch(first.pid, *max_pids, factory, || {
+                metrics.record_pid_evicted();
+            });
+            for sample in run {
+                out.push(step_pid(config, transitions, state, sample, &mut scored));
             }
         }
-        self.metrics
-            .record_decisions(samples.len() as u64, started.elapsed());
+        metrics.record_scored_totals(scored);
+        metrics.record_decisions(samples.len() as u64, started.elapsed());
     }
 
     /// The prediction currently standing for `pid`, if any — what the
     /// next sample for that pid will be scored against.
     #[must_use]
     pub fn pending(&self, pid: u32) -> Option<PhaseId> {
-        self.pids.get(&pid).and_then(|s| s.scorer.pending())
+        self.pids.get(pid).and_then(|s| s.scorer.pending())
     }
 
     /// Scores the standing prediction for `pid` against an observed
@@ -560,7 +450,7 @@ impl DecisionEngine {
     /// for accuracy accounting, but execution is over and no decision
     /// will govern anything.
     pub fn score_tail(&mut self, pid: u32, observed: PhaseId) -> Option<bool> {
-        let state = self.pids.get_mut(&pid)?;
+        let state = self.pids.get_mut(pid)?;
         let (_, correct) = state.scorer.score(observed)?;
         self.metrics.record_scored(correct);
         Some(correct)
@@ -569,10 +459,8 @@ impl DecisionEngine {
     /// Aggregate prediction statistics across every pid stream.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        // lint:allow(determinism): the fold is a commutative sum, so the
-        // FNV iteration order cannot change the result
         self.pids
-            .values()
+            .states()
             .fold(PredictionStats::default(), |acc, s| {
                 let st = s.scorer.stats();
                 PredictionStats {
@@ -585,7 +473,7 @@ impl DecisionEngine {
     /// Prediction statistics for one pid stream, if it exists.
     #[must_use]
     pub fn pid_stats(&self, pid: u32) -> Option<PredictionStats> {
-        self.pids.get(&pid).map(|s| s.scorer.stats())
+        self.pids.get(pid).map(|s| s.scorer.stats())
     }
 
     /// Number of pid streams with live predictor state.
@@ -596,20 +484,13 @@ impl DecisionEngine {
 
     /// Drops a terminated pid's state.
     pub fn retire(&mut self, pid: u32) -> bool {
-        match self.pids.remove(&pid) {
-            Some(state) => {
-                self.lru.remove(&state.stamp);
-                true
-            }
-            None => false,
-        }
+        self.pids.remove(pid)
     }
 
     /// Clears all per-pid state (predictors, scoring, transition
     /// baselines); accumulated telemetry is left alone.
     pub fn reset(&mut self) {
         self.pids.clear();
-        self.lru.clear();
     }
 
     /// Flushes label-formatted telemetry (the DVFS transition pairs).
@@ -626,20 +507,22 @@ impl DecisionEngine {
     }
 }
 
-/// One pid's classify → score → predict → translate step. Free-standing
+/// One pid's classify → score → predict → translate step, tallying the
+/// scored outcome into `scored` for the caller to publish. Free-standing
 /// so `step_many` can hold the pid's state across a run of samples while
 /// the engine's other fields stay borrowed.
 fn step_pid(
     config: &EngineConfig,
-    metrics: &EngineMetrics,
     transitions: &mut TransitionTracker,
     state: &mut PidState,
     sample: &Sample,
+    scored: &mut PredictionStats,
 ) -> Decision {
     let rate = MemUopRate::from_counts(sample.mem_transactions, sample.uops);
     let phase = config.phase_map().classify_rate(rate);
     if let Some((_, correct)) = state.scorer.score(phase) {
-        metrics.record_scored(correct);
+        scored.total += 1;
+        scored.correct += u64::from(correct);
     }
     let predicted = state.predictor.next(PhaseSample { rate, phase });
     state.scorer.predict(predicted);

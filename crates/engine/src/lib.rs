@@ -32,6 +32,7 @@
 
 pub mod config;
 pub mod engine;
+mod pids;
 pub mod table;
 
 pub use config::{EngineConfig, EngineConfigError};

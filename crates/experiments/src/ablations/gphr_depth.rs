@@ -3,7 +3,8 @@
 //!
 //! Too shallow a register cannot disambiguate positions inside repetitive
 //! patterns; too deep a register dilutes the PHT with long tags that
-//! rarely recur (and costs tag-compare time, see the Criterion bench).
+//! rarely recur (and costs hashing and tag-compare time linear in the
+//! depth, see `core.gpht_ns_per_step` in the benchmark's traced run).
 
 use crate::format::{pct, Table};
 use crate::predictors::accuracy_on;

@@ -29,7 +29,7 @@
 //! allocation.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
-use livephase_telemetry::Histogram;
+use livephase_telemetry::{Counter, Histogram};
 use std::fmt;
 use std::sync::Arc;
 
@@ -101,6 +101,10 @@ pub struct Arbiter {
     grants_total: u64,
     denials_total: u64,
     starvation_us: Arc<Histogram>,
+    /// `outcomes[op][denied]`: the grant (`false`) or denial (`true`)
+    /// counter for granted setting `op`, resolved from the registry on
+    /// first use so only the series that occur are registered.
+    outcomes: Vec<[Option<Arc<Counter>>; 2]>,
 }
 
 impl Arbiter {
@@ -131,6 +135,7 @@ impl Arbiter {
             grants_total: 0,
             denials_total: 0,
             starvation_us,
+            outcomes: Vec::new(),
         }
     }
 
@@ -277,8 +282,31 @@ impl Arbiter {
             } else {
                 self.grants_total += 1;
             }
+            self.record_outcome(op, denied);
+            grants.push(Grant {
+                tenant: req.tenant,
+                op,
+                denied,
+            });
+        }
+        grants
+    }
+
+    /// Counts one grant or denial at granted setting `op`.
+    fn record_outcome(&mut self, op: usize, denied: bool) {
+        if self.outcomes.len() <= op {
+            self.outcomes.resize(op + 1, [None, None]);
+        }
+        let Some(cell) = self
+            .outcomes
+            .get_mut(op)
+            .and_then(|c| c.get_mut(usize::from(denied)))
+        else {
+            return;
+        };
+        cell.get_or_insert_with(|| {
             let op_label = op.to_string();
-            let outcome = if denied {
+            if denied {
                 livephase_telemetry::global().counter(
                     "tenants_arbiter_denials_total",
                     "Epoch requests granted slower than requested, by granted setting.",
@@ -290,15 +318,9 @@ impl Arbiter {
                     "Epoch requests granted at the requested setting, by granted setting.",
                     &[("op", &op_label)],
                 )
-            };
-            outcome.inc();
-            grants.push(Grant {
-                tenant: req.tenant,
-                op,
-                denied,
-            });
-        }
-        grants
+            }
+        })
+        .inc();
     }
 
     /// Records the simulated length of one completed denial streak.

@@ -161,7 +161,7 @@ impl BenchmarkSpec {
     }
 
     /// Overrides the trace length (builder style) — handy for quick tests
-    /// and Criterion benches.
+    /// and bench inputs.
     #[must_use]
     pub fn with_length(mut self, length: usize) -> Self {
         assert!(length >= 1, "trace length must be positive");
