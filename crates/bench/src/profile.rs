@@ -93,7 +93,7 @@ mod tests {
     fn collect_skips_empty_series_and_sorts_by_total() {
         let r = Registry::new();
         r.histogram("a_us", "help", &[("k", "v")]); // empty → skipped
-        r.histogram("b_us", "help", &[]).record_n(10, 3);
+        r.histogram("b_us", "help", &[]).record_batch(30, 3);
         let big = r.histogram("c_us", "help", &[("span", "hot")]);
         big.record(1000);
         let rows = collect(&r);

@@ -86,7 +86,8 @@ impl EngineMetrics {
             ),
             decision_us: reg.histogram(
                 "governor_decision_us",
-                "Per-interval decision latency in microseconds.",
+                "Per-interval decision latency in microseconds: batches are \
+                 timed whole, single steps one in 64.",
                 &[],
             ),
             hits_total: reg.counter(
@@ -113,21 +114,26 @@ impl EngineMetrics {
     }
 
     /// Records `n` decisions computed in `elapsed` total: the counter
-    /// advances by `n` and the latency histogram receives one sample per
-    /// decision at the batch-amortized per-decision cost (a single
-    /// bulk `record_n`, not `n` round trips).
+    /// advances by `n` and the latency histogram receives `n` samples at
+    /// the batch-amortized per-decision cost, with the whole batch time
+    /// in its `_sum` (one [`Histogram::record_batch`]).
     pub fn record_decisions(&self, n: u64, elapsed: Duration) {
         if n == 0 {
             return;
         }
         self.decisions_total.add(n);
-        self.decision_us
-            .record_n_saturating(elapsed.as_micros() / u128::from(n), n);
+        self.decision_us.record_batch(elapsed.as_micros(), n);
     }
 
-    /// Records one decision computed in `elapsed`.
-    pub fn record_decision(&self, elapsed: Duration) {
-        self.record_decisions(1, elapsed);
+    /// Records one decision. Single-step timing is sampled
+    /// ([`DecisionEngine::step`] reads the clock on one call in 64):
+    /// the counter advances on every call, and a latency sample is added
+    /// only when `elapsed` is `Some`.
+    pub fn record_decision(&self, elapsed: Option<Duration>) {
+        self.decisions_total.inc();
+        if let Some(elapsed) = elapsed {
+            self.decision_us.record_saturating(elapsed.as_micros());
+        }
     }
 
     /// Records one scored prediction outcome.
@@ -253,6 +259,11 @@ impl Drop for TransitionTracker {
 /// still bounding a long-lived serve shard against pid churn.
 pub const DEFAULT_MAX_PIDS: usize = 65_536;
 
+/// [`DecisionEngine::step`] times one call in this many. A clock pair
+/// costs about as much as the decision it would time, so single steps
+/// are sampled; batches ([`DecisionEngine::step_many`]) are timed whole.
+const STEP_TIMING_PERIOD: u64 = 64;
+
 /// The canonical decision pipeline: per-pid predictor family, prediction
 /// scoring, and phase → operating-point translation behind one API.
 pub struct DecisionEngine {
@@ -267,6 +278,9 @@ pub struct DecisionEngine {
     predictor: String,
     metrics: EngineMetrics,
     transitions: TransitionTracker,
+    /// `step` calls so far; the call at every multiple of
+    /// [`STEP_TIMING_PERIOD`] is timed.
+    steps: u64,
 }
 
 impl std::fmt::Debug for DecisionEngine {
@@ -298,6 +312,7 @@ impl DecisionEngine {
             predictor,
             metrics: EngineMetrics::new(),
             transitions: TransitionTracker::new(),
+            steps: 0,
         }
     }
 
@@ -374,8 +389,14 @@ impl DecisionEngine {
     /// Ingests one sample and returns the decision for that pid's next
     /// interval — the PMI handler's steps 2–4: classify the observed
     /// rate, score and update the predictor, translate the prediction.
+    ///
+    /// Every call counts in `governor_decisions_total` and the scoring
+    /// counters, but only one call in 64 (the first, then every 64th)
+    /// reads the clock and records a `governor_decision_us` sample.
     pub fn step(&mut self, sample: &Sample) -> Decision {
-        let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
+        let timed = self.steps.is_multiple_of(STEP_TIMING_PERIOD);
+        self.steps = self.steps.wrapping_add(1);
+        let started = timed.then(Instant::now); // lint:allow(determinism): decision-latency histogram only
         let Self {
             config,
             factory,
@@ -391,7 +412,7 @@ impl DecisionEngine {
         });
         let d = step_pid(config, transitions, state, sample, &mut scored);
         metrics.record_scored_totals(scored);
-        metrics.record_decision(started.elapsed());
+        metrics.record_decision(started.map(|t| t.elapsed()));
         d
     }
 

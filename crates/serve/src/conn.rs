@@ -22,6 +22,15 @@
 //! shard's reusable scratch buffer, the decoder recycles its internal
 //! buffer, and decisions are appended to the connection's reused
 //! outbound `Vec` without intermediate encode allocations.
+//!
+//! Nor does it read the clock per frame: a clock read costs more than
+//! decoding a frame, so latency is timed per batch — one clock pair per
+//! drain of the decoder (`serve_frame_decode_us`) and three reads per
+//! flushed run, split at the decide/encode boundary
+//! (`serve_shard_decision_us`, `serve_frame_encode_us`). Each histogram
+//! gets one entry per element at the batch mean and the whole batch time
+//! in its `_sum`, so `_count` counts frames or decisions and `_sum` adds
+//! up to the time spent.
 
 use crate::engine::{Decision, EngineConfig, Sample, SessionState};
 use crate::server::{frame_name, Shared};
@@ -306,17 +315,21 @@ impl Conn {
 
     /// Walks every complete frame banked in the decoder, then flushes
     /// the accumulated sample run and applies the backpressure cap.
+    ///
+    /// The walk is timed as one batch — one clock pair per drain, not
+    /// per frame — and `serve_frame_decode_us` gets one entry per frame
+    /// at the walk's mean (decode plus dispatch into the run), with the
+    /// whole walk time in its `_sum`. Only a frame that must flush the
+    /// run mid-walk (`StatsRequest`, `MetricsRequest`, a refusal) puts
+    /// that flush inside the span.
     fn drain_frames(&mut self, cx: &mut Cx<'_>) {
-        loop {
-            if self.phase == Phase::Closing {
-                break;
-            }
-            let started = Instant::now(); // lint:allow(determinism): decode-latency histogram only
+        let started = Instant::now(); // lint:allow(determinism): decode-latency histogram only
+        let mut frames = 0u64;
+        let mut damage = None;
+        while self.phase != Phase::Closing {
             match self.decoder.next_frame() {
                 Ok(Some(frame)) => {
-                    cx.metrics
-                        .decode_us
-                        .record_saturating(started.elapsed().as_micros());
+                    frames += 1;
                     let resumes = self.decoder.last_resumes();
                     if resumes > 0 {
                         cx.metrics.decode_resumes.record(u64::from(resumes));
@@ -325,18 +338,23 @@ impl Conn {
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    // Samples decoded before the damage still get their
-                    // decisions, matching the blocking reader which had
-                    // already forwarded them to its shard.
-                    self.flush_run(cx);
-                    self.refuse(ErrorCode::Malformed, e.to_string());
-                    self.poison(cx);
-                    self.start_closing(cx.now);
+                    damage = Some(e);
                     break;
                 }
             }
         }
+        cx.metrics
+            .decode_us
+            .record_batch(started.elapsed().as_micros(), frames);
+        // Samples decoded before any damage still get their decisions,
+        // matching the blocking reader which had already forwarded them
+        // to its shard.
         self.flush_run(cx);
+        if let Some(e) = damage {
+            self.refuse(ErrorCode::Malformed, e.to_string());
+            self.poison(cx);
+            self.start_closing(cx.now);
+        }
         self.check_backpressure(cx);
     }
 
@@ -471,7 +489,8 @@ impl Conn {
                 }
             }
             Frame::Goodbye => {
-                self.flush_run(cx);
+                // Closing ends the walk; `drain_frames` flushes the run
+                // after it, so the decode span does not time the flush.
                 self.start_closing(cx.now);
             }
             other => {
@@ -503,20 +522,21 @@ impl Conn {
         let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
         cx.decisions.clear();
         session.apply_batch(cx.samples, cx.decisions);
-        // One histogram entry per decision at the batch-amortized cost,
-        // so the count still equals the decision count.
-        let per_decision_us = started.elapsed().as_micros() / u128::from(n.max(1));
+        // The decide/encode boundary is read once and ends one span and
+        // starts the other. Each histogram gets one entry per element at
+        // the batch mean, so `_count` is the decision count and `_sum`
+        // the batch time.
+        let decided = Instant::now(); // lint:allow(determinism): latency histograms only
         cx.metrics
             .shard
             .decision_us
-            .record_n_saturating(per_decision_us, n);
+            .record_batch(decided.duration_since(started).as_micros(), n);
         cx.metrics.shard.samples_total.add(n);
         cx.shared.samples.fetch_add(n, Ordering::Relaxed);
         let grown = (session.processes() - before) as u64;
         if grown > 0 {
             cx.shared.processes.fetch_add(grown, Ordering::Relaxed);
         }
-        let enc_started = Instant::now(); // lint:allow(determinism): encode-latency histogram only
         for d in cx.decisions.iter() {
             wire::encode_into(
                 &Frame::Decision {
@@ -527,11 +547,10 @@ impl Conn {
                 &mut self.outbound,
             );
         }
-        let per_encode_us = enc_started.elapsed().as_micros() / u128::from(n.max(1));
         cx.shared
             .metrics
             .frame_encode_us
-            .record_n_saturating(per_encode_us, cx.decisions.len() as u64);
+            .record_batch(decided.elapsed().as_micros(), cx.decisions.len() as u64);
         cx.shared
             .decisions
             .fetch_add(cx.decisions.len() as u64, Ordering::Relaxed);

@@ -499,6 +499,8 @@ mod many {
 
     /// Connections allowed mid-handshake at once; paces the connect wave
     /// so the server's listen backlog never overflows into SYN retries.
+    /// That holds while this stays at or below the kernel's `somaxconn`,
+    /// which is the backlog the server listens with.
     const CONNECT_WINDOW: usize = 256;
 
     /// Decision latency is sampled on this many connections; sampling

@@ -3,10 +3,11 @@
 //! The serve reactor multiplexes tens of thousands of sockets per shard
 //! thread, which needs readiness notification the standard library does
 //! not expose. Rather than pull in an async runtime or an FFI crate,
-//! this module declares the four syscalls it needs (`epoll_create1`,
+//! this module declares the syscalls it needs (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `fcntl`, plus `setsockopt` for buffer
-//! sizing) against the libc the standard library already links, and
-//! wraps them in a safe, minimal surface:
+//! sizing and `listen` for the accept backlog) against the libc the
+//! standard library already links, and wraps them in a safe, minimal
+//! surface:
 //!
 //! - [`Epoll`] — an owned epoll instance; register/modify/remove
 //!   interest per fd with a caller-chosen `u64` token, then
@@ -18,6 +19,9 @@
 //! - [`set_send_buffer`] / [`set_recv_buffer`] — `SO_SNDBUF` /
 //!   `SO_RCVBUF`, used to bound kernel-side buffering per connection at
 //!   100k-connection scale (and by tests to make backpressure prompt).
+//! - [`widen_backlog`] — `listen(2)` again on a bound listener with the
+//!   largest backlog the kernel allows, since the standard library
+//!   listens with 128.
 //!
 //! This file is the workspace's only sanctioned `unsafe` island:
 //! livephase-lint's `safety-comment` rule refuses `unsafe` in any other
@@ -46,6 +50,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn setsockopt(
         fd: c_int,
         level: c_int,
@@ -341,6 +346,26 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buffer(fd, SO_RCVBUF, bytes)
 }
 
+/// Re-listens on a listening socket with the largest backlog the kernel
+/// allows. `TcpListener::bind` listens with a backlog of 128, so a
+/// connect wave wider than that overflows the accept queue and the
+/// dropped SYNs retransmit a second later. Linux clamps the request to
+/// `net.core.somaxconn` and lets a listening socket change its backlog
+/// by calling `listen(2)` again.
+///
+/// # Errors
+///
+/// The raw OS error (e.g. `EINVAL` when `fd` is a connected socket).
+pub fn widen_backlog(fd: RawFd) -> io::Result<()> {
+    // SAFETY: listen takes its arguments by value — no pointers, no
+    // retention; an fd that is not a live socket only yields an error.
+    let rc = unsafe { listen(fd, c_int::MAX) };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,6 +455,16 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         set_send_buffer(client.as_raw_fd(), 4096).unwrap();
         set_recv_buffer(client.as_raw_fd(), 4096).unwrap();
+    }
+
+    #[test]
+    fn only_a_listener_can_widen_its_backlog() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        widen_backlog(listener.as_raw_fd()).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        assert!(widen_backlog(server.as_raw_fd()).is_err());
+        drop(client);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::wire::{Frame, StatsSnapshot};
 use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,7 +74,7 @@ impl ServeMetrics {
             ),
             frame_encode_us: reg.histogram(
                 "serve_frame_encode_us",
-                "Frame encode latency in microseconds (writer threads).",
+                "Frame encode latency in microseconds, timed per flushed run.",
                 &[],
             ),
         }
@@ -301,14 +302,15 @@ impl ServerHandle {
     }
 }
 
-/// Binds `config.addr` and spawns the shard reactor threads; returns
-/// once the port is bound, so [`ServerHandle::local_addr`] is
-/// immediately connectable.
+/// Binds `config.addr`, widens its accept backlog to the kernel's
+/// `somaxconn` (see [`crate::reactor::widen_backlog`]), and spawns the
+/// shard reactor threads; returns once the port is bound, so
+/// [`ServerHandle::local_addr`] is immediately connectable.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure, listener clone failures and shard
-/// spawn failures.
+/// Propagates the bind and `listen(2)` failures, listener clone
+/// failures and shard spawn failures.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     assert!(config.shards > 0, "a server has at least one shard");
     assert!(
@@ -316,6 +318,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         "a server admits at least one connection"
     );
     let listener = TcpListener::bind(&config.addr)?;
+    crate::reactor::widen_backlog(listener.as_raw_fd())?;
     let local_addr = listener.local_addr()?;
     let shared = Arc::new(Shared::new());
     let threads = crate::shard::spawn_shards(listener, &config, &shared)?;

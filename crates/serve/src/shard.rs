@@ -59,7 +59,7 @@ const READ_SCRATCH_BYTES: usize = 64 * 1024;
 pub(crate) struct ReactorMetrics {
     /// The same per-shard handles the blocking shard loop records.
     pub(crate) shard: ShardMetrics,
-    /// Decode latency, shard-labeled like the blocking reader threads'.
+    /// Decode latency, timed per drain of the connection's decoder.
     pub(crate) decode_us: Arc<Histogram>,
     /// Sockets (plus the listener) this shard currently owns.
     pub(crate) open_fds: Arc<Gauge>,
@@ -82,7 +82,7 @@ impl ReactorMetrics {
             shard: ShardMetrics::new(index),
             decode_us: reg.histogram(
                 "serve_frame_decode_us",
-                "Frame decode latency in microseconds (reader threads).",
+                "Frame decode latency in microseconds, timed per drain.",
                 labels,
             ),
             open_fds: reg.gauge(

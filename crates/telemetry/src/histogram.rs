@@ -74,8 +74,9 @@ pub struct Histogram {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    /// Observations that arrived wider than `u64` and were clamped into
-    /// the top bucket by [`record_saturating`](Self::record_saturating).
+    /// Observations that arrived wider than `u64` and were clamped to
+    /// `u64::MAX` by [`record_saturating`](Self::record_saturating) or
+    /// [`record_batch`](Self::record_batch).
     /// Kept separate from the buckets so saturation is visible: a
     /// nonzero cell means quantile estimates near the cap undercount
     /// the true tail and must not be trusted blindly.
@@ -151,23 +152,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` observations of the same value in one swing — at
-    /// most five relaxed atomic RMWs total, however large `n` is. Used
-    /// by batch consumers (a shard draining its queue) that attribute
-    /// one amortized value to every element of the batch.
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // lint:allow(no-panic-path): bucket_index is total over u64 and < BUCKETS
-        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum
-            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        self.update_extremes(value);
-    }
-
     /// Records an observation that may be wider than the histogram's
     /// `u64` domain (durations in microseconds arrive as `u128`).
     /// Values that fit are recorded exactly; values past `u64::MAX`
@@ -188,20 +172,29 @@ impl Histogram {
         }
     }
 
-    /// Bulk counterpart of [`record_saturating`](Self::record_saturating):
-    /// `n` observations of one possibly-wider-than-`u64` value. A
-    /// clamped value counts **`n`** overflows — every one of the `n`
-    /// attributed observations is individually untrustworthy near the
-    /// cap.
+    /// Records a batch of `n` observations timed together as `total`:
+    /// all `n` land in the bucket of the per-element mean `total / n`,
+    /// while `_sum` gains the whole `total` — not `n × floor(total / n)`,
+    /// which would drop up to `n - 1` units per batch and read zero for
+    /// any batch faster than one unit per element. So `_count` stays
+    /// the element count and `_sum` stays the measured time. A `total`
+    /// wider than `u64` (durations arrive as `u128`) clamps to
+    /// `u64::MAX` and counts **`n`** overflows.
     #[inline]
-    pub fn record_n_saturating(&self, value: u128, n: u64) {
-        match u64::try_from(value) {
-            Ok(v) => self.record_n(v, n),
-            Err(_) => {
-                self.overflow.fetch_add(n, Ordering::Relaxed);
-                self.record_n(u64::MAX, n);
-            }
+    pub fn record_batch(&self, total: u128, n: u64) {
+        if n == 0 {
+            return;
         }
+        let total = u64::try_from(total).unwrap_or_else(|_| {
+            self.overflow.fetch_add(n, Ordering::Relaxed);
+            u64::MAX
+        });
+        let mean = total / n;
+        // lint:allow(no-panic-path): bucket_index is total over u64 and < BUCKETS
+        self.buckets[bucket_index(mean)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(total, Ordering::Relaxed);
+        self.update_extremes(mean);
     }
 
     /// Number of recorded observations.
@@ -320,13 +313,36 @@ mod tests {
             a.record(42);
         }
         a.record(9);
-        b.record_n(42, 7);
-        b.record_n(9, 1);
-        b.record_n(1_000, 0); // no-op
+        b.record_batch(42 * 7, 7);
+        b.record_batch(9, 1);
+        b.record_batch(1_000, 0); // no-op
         assert_eq!(a.count(), b.count());
         assert_eq!(a.sum(), b.sum());
         assert_eq!(a.quantile(0.5), b.quantile(0.5));
         assert_eq!(a.quantile(1.0), b.quantile(1.0));
+    }
+
+    #[test]
+    fn record_batch_keeps_the_whole_total_in_the_sum() {
+        let h = Histogram::new();
+        // 7 elements in 20 units: each lands at the mean 2, but the sum
+        // is the measured 20, not 7 × 2 = 14.
+        h.record_batch(20, 7);
+        assert_eq!(h.count(), 7);
+        assert_eq!(h.sum(), 20);
+        assert_eq!(h.quantile(0.5), Some(2));
+        assert_eq!((h.min(), h.max()), (Some(2), Some(2)));
+        // A batch faster than one unit per element still adds its time.
+        h.record_batch(3, 10);
+        assert_eq!(h.count(), 17);
+        assert_eq!(h.sum(), 23);
+        assert_eq!(h.min(), Some(0));
+        h.record_batch(1_000, 0); // no-op
+        assert_eq!((h.count(), h.sum()), (17, 23));
+        assert_eq!(h.overflow(), 0);
+        h.record_batch(u128::MAX, 4);
+        assert_eq!(h.overflow(), 4, "a clamped total counts every element");
+        assert_eq!(h.count(), 21);
     }
 
     #[test]
@@ -428,8 +444,8 @@ mod tests {
         assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(200));
         let n = Histogram::new();
-        n.record_n(7, 3);
-        n.record_n(7, 5); // fast path for both extremes
+        n.record_batch(21, 3);
+        n.record_batch(35, 5); // fast path for both extremes
         assert_eq!(n.min(), Some(7));
         assert_eq!(n.max(), Some(7));
     }
