@@ -130,6 +130,20 @@ diff <(echo "$tenant_digests") results/tenants/digests.txt \
     || { echo "tenants: cluster decision digests differ from results/tenants/digests.txt"; exit 1; }
 echo "tenants digest pins passed ($(wc -l < results/tenants/digests.txt) scenarios)"
 
+# Pinned tenants output: the decision digest folds only the DVFS-invariant
+# sample and decision streams, so it cannot see the arbiter. Each line of
+# results/tenants/output.sha256 is "<sha256>  <tenants arguments>", and
+# the whole report — grants, denials, time, energy and EDP — must hash
+# to its committed value.
+tenant_outputs=$(while IFS= read -r line; do
+    args=${line#*  }
+    # shellcheck disable=SC2086 # the arguments are split on purpose
+    echo "$("$cli" tenants $args | sha256sum | cut -d' ' -f1)  $args"
+done < results/tenants/output.sha256)
+diff <(echo "$tenant_outputs") results/tenants/output.sha256 \
+    || { echo "tenants: output differs from results/tenants/output.sha256"; exit 1; }
+echo "tenants output pins passed ($(wc -l < results/tenants/output.sha256) scenarios)"
+
 # Reactor scale gate: 5000 concurrent connections through the epoll
 # reactor, every stream held open at once and bit-exact against the
 # in-process manager. Each side (server, load generator) needs one fd

@@ -12,12 +12,12 @@
 use crate::stats::Summary;
 use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::{
-    AnalyticModel, LinearModel, OperatingPointTable, PowerInput, PowerModel, TrainingRecord,
-    TreeModel,
+    AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
+    TrainingRecord, TreeModel,
 };
 use livephase_serve::wire::{encode_into, Frame, FrameDecoder};
 use livephase_telemetry::Histogram;
-use livephase_tenants::{run_scenario, ScenarioSpec};
+use livephase_tenants::{run_scenario, Arbiter, ArbiterPolicy, Request, ScenarioSpec};
 use livephase_workloads::{counter_samples, spec};
 use std::time::Instant;
 
@@ -239,6 +239,33 @@ fn run_tenants_quantum(warmup: usize, iters: usize) -> Vec<u64> {
     })
 }
 
+/// `tenants_arbitrate`: one water-fill and one priority arbitration of
+/// 64 seeded requests on 2 cores under a 20 W cap — enough tenants for
+/// a per-probe cost that grows with the request count to show, which
+/// `tenants_quantum`'s four cannot.
+fn run_tenants_arbitrate(warmup: usize, iters: usize) -> Vec<u64> {
+    let requests: Vec<Request> = (0..64u32)
+        .map(|tenant| {
+            let h = (u64::from(tenant) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            Request {
+                tenant,
+                core: tenant as usize % 2,
+                requested_op: ((h >> 32) % 6) as usize,
+                // One tenant in eight is a noisy neighbour.
+                priority: u8::from(tenant % 8 != 7),
+            }
+        })
+        .collect();
+    let platform = PlatformConfig::pentium_m();
+    let mut arbiters = [ArbiterPolicy::WaterFill, ArbiterPolicy::Priority]
+        .map(|policy| Arbiter::new(&platform, 20.0, policy, 2));
+    timed(warmup, iters, || {
+        for arbiter in &mut arbiters {
+            std::hint::black_box(arbiter.arbitrate(&requests));
+        }
+    })
+}
+
 /// Deterministic training set for the power-model area: the analytic
 /// model's output over a fixed feature sweep at every operating point.
 /// The learned backends fit this exactly well enough for the bench to
@@ -362,6 +389,12 @@ pub fn registry() -> &'static [Area] {
             what: "one 4-tenant/2-core/8-interval cluster scenario",
             expected_ratio: 0.31,
             run: run_tenants_quantum,
+        },
+        Area {
+            name: "tenants_arbitrate",
+            what: "one waterfill and one priority arbitration, 64 requests, 2 cores, 20 W",
+            expected_ratio: 0.015,
+            run: run_tenants_arbitrate,
         },
         Area {
             name: "lint_full",

@@ -84,6 +84,7 @@ impl ServeMetrics {
 /// Per-shard instrument handles, owned by one shard thread.
 pub(crate) struct ShardMetrics {
     pub(crate) sessions: Arc<Gauge>,
+    pub(crate) accepted_total: Arc<Counter>,
     pub(crate) samples_total: Arc<Counter>,
     pub(crate) decision_us: Arc<Histogram>,
     pub(crate) power_estimate_mw: Arc<Gauge>,
@@ -98,6 +99,11 @@ impl ShardMetrics {
             sessions: reg.gauge(
                 "serve_shard_sessions",
                 "Sessions whose predictor state this shard owns.",
+                label,
+            ),
+            accepted_total: reg.counter(
+                "serve_shard_accepted_total",
+                "Connections this shard accepted through the max-conns gate.",
                 label,
             ),
             samples_total: reg.counter(

@@ -266,7 +266,8 @@ fn shard_reactor_loop(
         for ev in events.iter() {
             if ev.token == LISTENER_TOKEN {
                 if listener_live {
-                    accept_burst(listener, &epoll, config, shared, &mut conns, now);
+                    let accepted = &metrics.shard.accepted_total;
+                    accept_burst(listener, &epoll, config, shared, accepted, &mut conns, now);
                 }
                 continue;
             }
@@ -359,6 +360,7 @@ fn accept_burst(
     epoll: &Epoll,
     config: &ServerConfig,
     shared: &Shared,
+    accepted: &Counter,
     conns: &mut BTreeMap<RawFd, Conn>,
     now: Instant, // lint:allow(determinism): seeds idle-reap bookkeeping only, never a decision input
 ) {
@@ -410,6 +412,7 @@ fn accept_burst(
         shared.active.fetch_add(1, Ordering::SeqCst);
         shared.metrics.connections_total.inc();
         shared.metrics.connections_active.inc();
+        accepted.inc();
         trace_event!(Level::Debug, TRACE, "connection accepted", conn = conn_id);
         let fd = stream.as_raw_fd();
         let mut conn = Conn::admitted(stream, conn_id, now);

@@ -20,13 +20,37 @@
 //! * the arbiter admits only grant vectors whose summed per-core maxima
 //!   fit the budget, so measured cluster power can never exceed it.
 //!
-//! Two policies are provided. `priority` serves tenants in priority
-//! order (ties by tenant id), giving each the fastest still-affordable
-//! setting — noisy neighbors, which carry the lowest priority, are
-//! throttled first. `waterfill` starts everyone at the slowest setting
-//! and repeatedly upgrades the currently worst-off tenant by one step
-//! while the budget holds, converging to the most even feasible
-//! allocation.
+//! # Costing
+//!
+//! The grant vector under arbitration is held as a `cores × settings`
+//! table of grant counts (`Levels`). A feasibility probe moves one
+//! grant between two cells of its core's row, prices the whole table
+//! and undoes the move if it does not fit: O(cores × settings), no
+//! allocation. A core's cost is the largest `cost_w` among the settings
+//! with a nonzero count, starting from 0.0; the total sums the cores in
+//! core order and is admitted when it is at most `budget_w + 1e-9`.
+//! A core's maximum does not depend on the order its grants are
+//! visited in, so the total is the same f64 a scan over the requests
+//! gives, and nothing assumes costs fall with the index — learned
+//! backends need not be monotone.
+//!
+//! # Policies
+//!
+//! Both start every grant at the slowest setting and only ever move a
+//! grant faster, never past its request.
+//!
+//! * `priority` serves requests by their `priority` field, highest
+//!   first (the cluster gives noisy tenants 0 and the rest 1), ties by
+//!   tenant id, and gives each the fastest still-affordable setting —
+//!   noisy neighbours are throttled first. Cost per epoch: one sort
+//!   plus at most `settings` probes per request.
+//! * `waterfill` repeatedly upgrades the worst-off tenant (slowest
+//!   current grant, ties by lowest tenant id) by one step while the
+//!   budget holds, converging to the most even feasible allocation.
+//!   Cost per epoch: one sort plus at most `settings` visits and one
+//!   probe per visit for each request — O(settings × tenants) probes.
+//!   See [`Arbiter::arbitrate`] for why a level sweep makes the same
+//!   picks as the worst-off-first loop.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
 use livephase_telemetry::{Counter, Histogram};
@@ -90,6 +114,100 @@ pub struct Grant {
     pub denied: bool,
 }
 
+/// A grant vector as counts per core and setting: what a feasibility
+/// probe prices (see the module docs).
+#[derive(Debug, Default)]
+struct Levels {
+    /// Row length: settings per core.
+    settings: usize,
+    /// `counts[core * settings + op]`: grants at `op` on `core`.
+    counts: Vec<usize>,
+}
+
+impl Levels {
+    /// Reshapes the table for `cores` cores and settings `0..=slowest`,
+    /// places every request at `slowest` and returns their slots.
+    fn fill(&mut self, requests: &[Request], cores: usize, slowest: usize) -> Vec<Slot> {
+        let last_core = cores.max(1) - 1;
+        self.settings = slowest + 1;
+        self.counts.clear();
+        self.counts.resize((last_core + 1) * self.settings, 0);
+        requests
+            .iter()
+            .map(|r| {
+                let core = r.core.min(last_core);
+                if let Some(n) = self.cell(core, slowest) {
+                    *n += 1;
+                }
+                Slot {
+                    core,
+                    want: r.requested_op.min(slowest),
+                    op: slowest,
+                }
+            })
+            .collect()
+    }
+
+    fn cell(&mut self, core: usize, op: usize) -> Option<&mut usize> {
+        self.counts.get_mut(core * self.settings + op)
+    }
+
+    /// Moves one grant on `core` from `from` to `to`.
+    fn shift(&mut self, core: usize, from: usize, to: usize) {
+        if let Some(n) = self.cell(core, from) {
+            *n = n.saturating_sub(1);
+        }
+        if let Some(n) = self.cell(core, to) {
+            *n += 1;
+        }
+    }
+
+    /// Whether the summed per-core maxima of the grants' costs fit
+    /// `budget_w`.
+    fn fits(&self, cost_w: &[f64], budget_w: f64) -> bool {
+        let core_max = |row: &[usize]| {
+            let mut max = 0.0f64;
+            for (_, &cost) in row.iter().zip(cost_w).filter(|&(&n, _)| n > 0) {
+                if cost > max {
+                    max = cost;
+                }
+            }
+            max
+        };
+        let total: f64 = self.counts.chunks(self.settings.max(1)).map(core_max).sum();
+        total <= budget_w + 1e-9
+    }
+
+    /// Moves one grant on `core` from `from` to `to` if the result fits
+    /// `budget_w`; otherwise leaves the table as it was.
+    fn try_shift(
+        &mut self,
+        cost_w: &[f64],
+        budget_w: f64,
+        core: usize,
+        from: usize,
+        to: usize,
+    ) -> bool {
+        self.shift(core, from, to);
+        let fits = self.fits(cost_w, budget_w);
+        if !fits {
+            self.shift(core, to, from);
+        }
+        fits
+    }
+}
+
+/// One request's place in the grant vector under arbitration.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The request's core, clamped to the arbiter's core count.
+    core: usize,
+    /// The requested setting, clamped to the slowest.
+    want: usize,
+    /// The setting granted so far.
+    op: usize,
+}
+
 /// The per-epoch power-cap arbiter.
 #[derive(Debug)]
 pub struct Arbiter {
@@ -98,6 +216,9 @@ pub struct Arbiter {
     budget_w: f64,
     policy: ArbiterPolicy,
     cores: usize,
+    /// The grant vector of the epoch being arbitrated, kept between
+    /// epochs so its table is allocated once.
+    levels: Levels,
     grants_total: u64,
     denials_total: u64,
     starvation_us: Arc<Histogram>,
@@ -132,6 +253,7 @@ impl Arbiter {
             budget_w,
             policy,
             cores,
+            levels: Levels::default(),
             grants_total: 0,
             denials_total: 0,
             starvation_us,
@@ -157,54 +279,31 @@ impl Arbiter {
     /// cannot be guaranteed by DVFS alone.
     #[must_use]
     pub fn floor_feasible(&self, requests: &[Request]) -> bool {
-        let mut ops = Vec::new();
-        ops.resize(requests.len(), self.slowest());
-        self.total_cost(requests, &ops) <= self.budget_w + 1e-9
-    }
-
-    /// Summed per-core maxima of the grant vector's costs.
-    fn total_cost(&self, requests: &[Request], ops: &[usize]) -> f64 {
-        let mut core_max = Vec::new();
-        core_max.resize(self.cores.max(1), 0.0f64);
-        for (i, req) in requests.iter().enumerate() {
-            let op = ops.get(i).copied().unwrap_or_else(|| self.slowest());
-            let cost = self.cost_w(op);
-            let core = req.core.min(core_max.len().saturating_sub(1));
-            if let Some(slot) = core_max.get_mut(core) {
-                if cost > *slot {
-                    *slot = cost;
-                }
-            }
-        }
-        core_max.iter().sum()
-    }
-
-    /// Whether replacing grant `i` with `candidate` keeps the vector
-    /// within budget.
-    fn feasible_with(
-        &self,
-        requests: &[Request],
-        ops: &[usize],
-        i: usize,
-        candidate: usize,
-    ) -> bool {
-        let mut trial = ops.to_vec();
-        if let Some(slot) = trial.get_mut(i) {
-            *slot = candidate;
-        }
-        self.total_cost(requests, &trial) <= self.budget_w + 1e-9
+        let mut levels = Levels::default();
+        levels.fill(requests, self.cores, self.slowest());
+        levels.fits(&self.cost_w, self.budget_w)
     }
 
     /// Arbitrates one epoch: returns one [`Grant`] per request, in
-    /// request order. Deterministic: ties break by tenant id.
+    /// request order. Deterministic: ties break by tenant id, then by
+    /// position in `requests`.
+    ///
+    /// `waterfill` runs as a level sweep: from the slowest setting down
+    /// to 1, it visits the requests in tenant-id order and moves each
+    /// one still at this level and above its request down one step, or
+    /// leaves it there for good when the move does not fit. That is
+    /// the pick sequence of the direct loop, which upgrades the
+    /// lowest-id tenant among the unfrozen ones at the highest occupied
+    /// level: every grant starts at the slowest setting and only moves
+    /// faster, so when the sweep reaches a level, every grant still
+    /// upgradable sits at exactly that level, the ones it moves land one
+    /// level below and wait for the next pass, and each probe sees the
+    /// same grant vector the loop's would. A grant the sweep leaves
+    /// behind never matches a later level, which is the loop's freeze.
     pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
         let slowest = self.slowest();
-        let want: Vec<usize> = requests
-            .iter()
-            .map(|r| r.requested_op.min(slowest))
-            .collect();
-        let mut ops: Vec<usize> = Vec::new();
-        ops.resize(requests.len(), slowest);
+        let mut slots = self.levels.fill(requests, self.cores, slowest);
+        let (levels, cost_w, budget_w) = (&mut self.levels, &self.cost_w, self.budget_w);
 
         match self.policy {
             ArbiterPolicy::Priority => {
@@ -219,73 +318,53 @@ impl Arbiter {
                     pb.cmp(&pa).then(ta.cmp(&tb))
                 });
                 for &i in &order {
-                    let target = want.get(i).copied().unwrap_or(slowest);
-                    let current = ops.get(i).copied().unwrap_or(slowest);
+                    let Some(slot) = slots.get_mut(i) else {
+                        continue;
+                    };
                     // Fastest affordable setting no faster than requested.
-                    for candidate in target..=current {
-                        if self.feasible_with(requests, &ops, i, candidate) {
-                            if let Some(slot) = ops.get_mut(i) {
-                                *slot = candidate;
-                            }
+                    for candidate in slot.want..=slot.op {
+                        if levels.try_shift(cost_w, budget_w, slot.core, slot.op, candidate) {
+                            slot.op = candidate;
                             break;
                         }
                     }
                 }
             }
             ArbiterPolicy::WaterFill => {
-                let mut frozen = vec![false; requests.len()];
-                loop {
-                    // The worst-off upgradable tenant: slowest current
-                    // grant, ties by tenant id.
-                    let mut pick: Option<(usize, usize, u32)> = None;
-                    for (i, req) in requests.iter().enumerate() {
-                        if frozen.get(i).copied().unwrap_or(true) {
+                let mut order: Vec<(u32, usize)> = requests
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| (r.tenant, i))
+                    .collect();
+                order.sort_unstable();
+                for level in (1..=slowest).rev() {
+                    for &(_, i) in &order {
+                        let Some(slot) = slots.get_mut(i) else {
                             continue;
-                        }
-                        let current = ops.get(i).copied().unwrap_or(slowest);
-                        let target = want.get(i).copied().unwrap_or(slowest);
-                        if current <= target {
-                            continue;
-                        }
-                        let better = match pick {
-                            None => true,
-                            Some((_, best_op, best_tenant)) => {
-                                current > best_op
-                                    || (current == best_op && req.tenant < best_tenant)
-                            }
                         };
-                        if better {
-                            pick = Some((i, current, req.tenant));
+                        if slot.op == level
+                            && slot.want < level
+                            && levels.try_shift(cost_w, budget_w, slot.core, level, level - 1)
+                        {
+                            slot.op = level - 1;
                         }
-                    }
-                    let Some((i, current, _)) = pick else {
-                        break;
-                    };
-                    let candidate = current.saturating_sub(1);
-                    if self.feasible_with(requests, &ops, i, candidate) {
-                        if let Some(slot) = ops.get_mut(i) {
-                            *slot = candidate;
-                        }
-                    } else if let Some(slot) = frozen.get_mut(i) {
-                        *slot = true;
                     }
                 }
             }
         }
 
         let mut grants = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            let op = ops.get(i).copied().unwrap_or(slowest);
-            let denied = op > want.get(i).copied().unwrap_or(slowest);
+        for (req, slot) in requests.iter().zip(&slots) {
+            let denied = slot.op > slot.want;
             if denied {
                 self.denials_total += 1;
             } else {
                 self.grants_total += 1;
             }
-            self.record_outcome(op, denied);
+            self.record_outcome(slot.op, denied);
             grants.push(Grant {
                 tenant: req.tenant,
-                op,
+                op: slot.op,
                 denied,
             });
         }
