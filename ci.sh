@@ -144,6 +144,21 @@ diff <(echo "$tenant_outputs") results/tenants/output.sha256 \
     || { echo "tenants: output differs from results/tenants/output.sha256"; exit 1; }
 echo "tenants output pins passed ($(wc -l < results/tenants/output.sha256) scenarios)"
 
+# Pinned tenants counters: the report cannot see telemetry. Each line of
+# results/tenants/metrics.sha256 is "<sha256>  <tenants arguments>", and
+# the deterministic counter lines of `--metrics` — every `_total` series,
+# which leaves out the wall-clock `governor_decision_us` histogram and
+# throughput gauge — must hash to their committed value.
+tenant_metrics=$(while IFS= read -r line; do
+    args=${line#*  }
+    # shellcheck disable=SC2086 # the arguments are split on purpose
+    echo "$("$cli" tenants $args --metrics | grep -E '^[a-z_]+_total(\{[^}]*\})? ' \
+        | sha256sum | cut -d' ' -f1)  $args"
+done < results/tenants/metrics.sha256)
+diff <(echo "$tenant_metrics") results/tenants/metrics.sha256 \
+    || { echo "tenants: counters differ from results/tenants/metrics.sha256"; exit 1; }
+echo "tenants counter pins passed ($(wc -l < results/tenants/metrics.sha256) scenarios)"
+
 # Reactor scale gate: 5000 concurrent connections through the epoll
 # reactor, every stream held open at once and bit-exact against the
 # in-process manager. Each side (server, load generator) needs one fd

@@ -242,7 +242,10 @@ fn run_tenants_quantum(warmup: usize, iters: usize) -> Vec<u64> {
 /// `tenants_arbitrate`: one water-fill and one priority arbitration of
 /// 64 seeded requests on 2 cores under a 20 W cap — enough tenants for
 /// a per-probe cost that grows with the request count to show, which
-/// `tenants_quantum`'s four cannot.
+/// `tenants_quantum`'s four cannot. Iterations alternate between two
+/// request vectors that differ in one tenant's request, so no call is
+/// answered from the arbiter's memo of the previous epoch: this area
+/// times full arbitrations, the epochs whose requests changed.
 fn run_tenants_arbitrate(warmup: usize, iters: usize) -> Vec<u64> {
     let requests: Vec<Request> = (0..64u32)
         .map(|tenant| {
@@ -256,12 +259,19 @@ fn run_tenants_arbitrate(warmup: usize, iters: usize) -> Vec<u64> {
             }
         })
         .collect();
+    let mut changed = requests.clone();
+    if let Some(last) = changed.last_mut() {
+        last.requested_op = (last.requested_op + 1) % 6;
+    }
+    let vectors = [requests, changed];
     let platform = PlatformConfig::pentium_m();
     let mut arbiters = [ArbiterPolicy::WaterFill, ArbiterPolicy::Priority]
         .map(|policy| Arbiter::new(&platform, 20.0, policy, 2));
+    let mut epoch = 0usize;
     timed(warmup, iters, || {
+        epoch += 1;
         for arbiter in &mut arbiters {
-            std::hint::black_box(arbiter.arbitrate(&requests));
+            std::hint::black_box(arbiter.arbitrate(&vectors[epoch % 2]));
         }
     })
 }

@@ -148,11 +148,15 @@ impl EngineMetrics {
     /// Records a whole run's scoring totals at once (used by paths that
     /// accumulate locally and flush at run end).
     pub fn record_scored_totals(&self, stats: PredictionStats) {
-        if stats.total == 0 {
-            return;
+        // A single step scores at most one outcome: skip any add that
+        // would be zero rather than pay its atomic.
+        let misses = stats.mispredictions();
+        if stats.correct > 0 {
+            self.hits_total.add(stats.correct);
         }
-        self.hits_total.add(stats.correct);
-        self.misses_total.add(stats.mispredictions());
+        if misses > 0 {
+            self.misses_total.add(misses);
+        }
     }
 }
 

@@ -51,6 +51,25 @@
 //!   probe per visit for each request — O(settings × tenants) probes.
 //!   See [`Arbiter::arbitrate`] for why a level sweep makes the same
 //!   picks as the worst-off-first loop.
+//!
+//! # The memo
+//!
+//! Phases are stable and recur, so a tenant's request rarely changes
+//! from one epoch to the next, and most epochs hand the arbiter exactly
+//! the previous epoch's request vector. The arbiter keeps the last
+//! request slice, its grants and their outcome tally (grants and
+//! denials per granted setting). When `arbitrate` receives an identical
+//! slice — whole-[`Request`] equality, same order — it returns the
+//! stored grants without running the policy: one slice comparison and
+//! one copy of the grants, O(tenants) with no probe, against the
+//! O(settings × tenants) probes of a fresh arbitration. The memo caches
+//! a pure function of the requests because nothing the policy reads
+//! (costs, budget, policy, core count) can change after
+//! [`Arbiter::new`]; any setter added later must clear it.
+//!
+//! Telemetry is published from the tally, one counter add per nonzero
+//! `(setting, denied)` cell, on hits and misses alike, so every series
+//! advances exactly as if each request were counted on its own.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
 use livephase_telemetry::{Counter, Histogram};
@@ -219,6 +238,8 @@ pub struct Arbiter {
     /// The grant vector of the epoch being arbitrated, kept between
     /// epochs so its table is allocated once.
     levels: Levels,
+    /// The last arbitrated epoch (see the module docs).
+    memo: Memo,
     grants_total: u64,
     denials_total: u64,
     starvation_us: Arc<Histogram>,
@@ -226,6 +247,18 @@ pub struct Arbiter {
     /// counter for granted setting `op`, resolved from the registry on
     /// first use so only the series that occur are registered.
     outcomes: Vec<[Option<Arc<Counter>>; 2]>,
+}
+
+/// The last arbitrated epoch: its requests, its grants and their
+/// outcome tally. Starts empty, which is the right answer for an empty
+/// request slice.
+#[derive(Debug, Default)]
+struct Memo {
+    requests: Vec<Request>,
+    grants: Vec<Grant>,
+    /// `tally[op][denied]`: grants at setting `op` that were at the
+    /// requested setting (`false`) or slower (`true`).
+    tally: Vec<[u64; 2]>,
 }
 
 impl Arbiter {
@@ -254,6 +287,7 @@ impl Arbiter {
             policy,
             cores,
             levels: Levels::default(),
+            memo: Memo::default(),
             grants_total: 0,
             denials_total: 0,
             starvation_us,
@@ -300,7 +334,25 @@ impl Arbiter {
     /// level below and wait for the next pass, and each probe sees the
     /// same grant vector the loop's would. A grant the sweep leaves
     /// behind never matches a later level, which is the loop's freeze.
+    ///
+    /// That sweep, or priority's sort and probes, runs only when the
+    /// requests differ from the previous call's: O(settings × tenants)
+    /// probes of O(cores × settings) each. An epoch whose requests equal
+    /// the previous epoch's, field for field and in the same order, is
+    /// answered from the memo instead — one O(tenants) comparison and
+    /// one copy of the stored grants — and its outcomes are counted
+    /// again all the same. The memo is sound only while the arbiter's
+    /// configuration is fixed: any setter added later must clear it.
     pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+        if self.memo.requests != requests {
+            self.run_policy(requests);
+        }
+        self.publish_outcomes();
+        self.memo.grants.clone()
+    }
+
+    /// Arbitrates `requests` afresh into the memo.
+    fn run_policy(&mut self, requests: &[Request]) {
         let slowest = self.slowest();
         let mut slots = self.levels.fill(requests, self.cores, slowest);
         let (levels, cost_w, budget_w) = (&mut self.levels, &self.cost_w, self.budget_w);
@@ -353,26 +405,49 @@ impl Arbiter {
             }
         }
 
-        let mut grants = Vec::with_capacity(requests.len());
+        let memo = &mut self.memo;
+        memo.requests.clear();
+        memo.requests.extend_from_slice(requests);
+        memo.grants.clear();
+        memo.tally.clear();
+        memo.tally.resize(slowest + 1, [0, 0]);
         for (req, slot) in requests.iter().zip(&slots) {
             let denied = slot.op > slot.want;
-            if denied {
-                self.denials_total += 1;
-            } else {
-                self.grants_total += 1;
+            if let Some(n) = memo
+                .tally
+                .get_mut(slot.op)
+                .and_then(|c| c.get_mut(usize::from(denied)))
+            {
+                *n += 1;
             }
-            self.record_outcome(slot.op, denied);
-            grants.push(Grant {
+            memo.grants.push(Grant {
                 tenant: req.tenant,
                 op: slot.op,
                 denied,
             });
         }
-        grants
     }
 
-    /// Counts one grant or denial at granted setting `op`.
-    fn record_outcome(&mut self, op: usize, denied: bool) {
+    /// Counts the memo's grants and denials: one add per nonzero cell of
+    /// its tally.
+    fn publish_outcomes(&mut self) {
+        for op in 0..self.memo.tally.len() {
+            let cells = self.memo.tally.get(op).copied().unwrap_or_default();
+            for (denied, n) in [false, true].into_iter().zip(cells) {
+                if n > 0 {
+                    self.record_outcomes(op, denied, n);
+                }
+            }
+        }
+    }
+
+    /// Counts `n` grants or denials at granted setting `op`.
+    fn record_outcomes(&mut self, op: usize, denied: bool, n: u64) {
+        if denied {
+            self.denials_total += n;
+        } else {
+            self.grants_total += n;
+        }
         if self.outcomes.len() <= op {
             self.outcomes.resize(op + 1, [None, None]);
         }
@@ -399,7 +474,7 @@ impl Arbiter {
                 )
             }
         })
-        .inc();
+        .add(n);
     }
 
     /// Records the simulated length of one completed denial streak.

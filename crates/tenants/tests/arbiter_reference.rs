@@ -10,7 +10,10 @@
 //! bit: the same grants, the same floor verdict and the same running
 //! grant/denial totals over successive epochs on one arbiter, for both
 //! policies, under the analytic backend, two fitted learned ones and
-//! two deliberately non-monotone cost tables.
+//! two deliberately non-monotone cost tables. Epochs may repeat an
+//! earlier epoch's requests, exactly (A, A, B, A) or with one field of
+//! one request changed, so the production arbiter's memo of the last
+//! epoch is exercised on its hits and on near misses.
 
 use livephase_pmsim::{
     AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
@@ -217,22 +220,55 @@ fn platform(power: PowerModelKind) -> PlatformConfig {
 /// priority before they are folded into the case's ranges.
 type RawEpoch = (u8, Vec<(u32, usize, usize, u8)>);
 
+/// How an epoch's requests are made, a pick of an earlier epoch and of
+/// one of its requests, and the raw requests: kinds 0 and 1 use the raw
+/// requests, 2 repeats the picked earlier epoch exactly, and 3, 4 and 5
+/// repeat it with the picked request's core, priority or requested
+/// setting changed. The first epoch always uses its raw requests.
+type Epoch = (u8, usize, usize, RawEpoch);
+
 /// One case: cores, budget kind and fraction, per-core setting picks for
 /// exact-boundary budgets, and a run of epochs.
-type Case = (usize, u8, f64, Vec<usize>, Vec<RawEpoch>);
+type Case = (usize, u8, f64, Vec<usize>, Vec<Epoch>);
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    let epoch = (
+    let raw = (
         0u8..3,
         proptest::collection::vec((0u32..1000, 0usize..64, 0usize..64, 0u8..3), 0..=96),
     );
+    let epoch = (0u8..6, 0usize..8, 0usize..96, raw);
     (
         1usize..=4,
         0u8..4,
         0.0f64..1.3,
         proptest::collection::vec(0usize..64, 4),
-        proptest::collection::vec(epoch, 1..=5),
+        proptest::collection::vec(epoch, 1..=8),
     )
+}
+
+/// The request vectors of a run of epochs (see [`Epoch`]).
+fn epoch_requests(epochs: &[Epoch], cores: usize, slowest: usize) -> Vec<Vec<Request>> {
+    let mut out: Vec<Vec<Request>> = Vec::new();
+    for (kind, back, row, raw) in epochs {
+        let reqs = match out.len().checked_sub(1 + back % out.len().max(1)) {
+            Some(earlier) if *kind >= 2 => {
+                let mut reqs = out[earlier].clone();
+                let len = reqs.len();
+                if let Some(r) = reqs.get_mut(row % len.max(1)) {
+                    match kind {
+                        3 => r.core = (r.core + 1) % (cores + 3),
+                        4 => r.priority = (r.priority + 1) % 3,
+                        5 => r.requested_op = (r.requested_op + 1) % (slowest + 3),
+                        _ => {}
+                    }
+                }
+                reqs
+            }
+            _ => requests(raw, cores, slowest),
+        };
+        out.push(reqs);
+    }
+    out
 }
 
 /// Requests for one epoch. Tenant ids are a shuffled permutation, drawn
@@ -288,17 +324,17 @@ fn assert_matches_reference(power: PowerModelKind, case: &Case) {
     for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
         let mut arbiter = Arbiter::new(&platform, budget_w, policy, *cores);
         let mut reference = ReferenceArbiter::new(&platform, budget_w, policy, *cores);
-        for (epoch, raw) in epochs.iter().enumerate() {
-            let reqs = requests(raw, *cores, reference.slowest());
+        let runs = epoch_requests(epochs, *cores, reference.slowest());
+        for (epoch, reqs) in runs.iter().enumerate() {
             let context = format!("{policy}, {cores} cores, {budget_w} W, epoch {epoch}");
             assert_eq!(
-                arbiter.floor_feasible(&reqs),
-                reference.floor_feasible(&reqs),
+                arbiter.floor_feasible(reqs),
+                reference.floor_feasible(reqs),
                 "floor verdict, {context}"
             );
             assert_eq!(
-                arbiter.arbitrate(&reqs),
-                reference.arbitrate(&reqs),
+                arbiter.arbitrate(reqs),
+                reference.arbitrate(reqs),
                 "grants, {context}"
             );
             assert_eq!(arbiter.grants_total(), reference.grants_total, "{context}");
