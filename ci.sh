@@ -19,6 +19,13 @@ cargo clippy -p livephase-bench --all-targets -- -D warnings
 # test below).
 cargo build --release --workspace
 
+# EXPERIMENTS.md and results/*.csv are generated, never hand-edited: their
+# one writer, repro-all, must regenerate them byte-identically from the
+# committed code, or the record no longer describes that code.
+target/release/repro-all > /dev/null
+git diff --exit-code -- EXPERIMENTS.md results/*.csv \
+    || { echo "repro-all: EXPERIMENTS.md or results/*.csv differ from the committed record"; exit 1; }
+
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism (local and interprocedural, over the call graph), SAFETY
 # comments, telemetry naming, wire-tag uniqueness/dispatch, CLI-flag and
@@ -67,7 +74,7 @@ for _ in $(seq 50); do
 done
 addr=$(sed -n 's/^listening on //p' serve_smoke.log)
 [ -n "$addr" ] || { echo "serve never announced its address"; exit 1; }
-bench_out=$("$cli" serve-bench "$addr" --conns 1 --bench swim_in --length 60 --window 16)
+bench_out=$("$cli" serve-bench "$addr" --bench swim_in --length 60 --window 16)
 echo "$bench_out"
 echo "$bench_out" | grep -q 'decisions 60' || { echo "smoke: expected 60 decisions"; exit 1; }
 echo "$bench_out" | grep -q '1/1 benchmarks bit-exact' || { echo "smoke: divergence"; exit 1; }
@@ -182,7 +189,7 @@ else
     done
     addr=$(sed -n 's/^listening on //p' serve_scale.log)
     [ -n "$addr" ] || { echo "scale: serve never announced its address"; exit 1; }
-    scale_out=$("$cli" serve-bench "$addr" --conns "$REACTOR_GATE_CONNS" --reactor \
+    scale_out=$("$cli" serve-bench "$addr" --conns "$REACTOR_GATE_CONNS" \
         --length 8 --window 16 --read-timeout-ms 60000)
     echo "$scale_out"
     echo "$scale_out" | grep -q "concurrent connections peak $REACTOR_GATE_CONNS" \

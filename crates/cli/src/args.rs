@@ -121,8 +121,9 @@ pub struct Parsed {
     pub exit_after_conns: Option<u64>,
     /// `--read-timeout-ms` socket timeout for `serve` and `serve-bench`.
     pub read_timeout_ms: u64,
-    /// `--conns` concurrent connections for `serve-bench`.
-    pub conns: usize,
+    /// `--conns` concurrent connections for `serve-bench`, if given
+    /// (otherwise one per selected benchmark).
+    pub conns: Option<usize>,
     /// `--window` pipeline depth for `serve-bench`.
     pub window: usize,
     /// `--bench` comma-separated benchmark subset for `serve-bench`
@@ -131,11 +132,6 @@ pub struct Parsed {
     /// `--no-check`: skip the in-process oracle agreement pass in
     /// `serve-bench`.
     pub no_check: bool,
-    /// `--reactor`: for `serve-bench`, selects the many-connection
-    /// single-thread load generator (one multiplexed connection per
-    /// `--conns`, all held open concurrently). Accepted as a no-op for
-    /// `serve`, whose only engine is the epoll reactor.
-    pub reactor: bool,
     /// `--max-outbound` per-connection outbound queue cap in bytes for
     /// `serve`; a slow consumer exceeding it is shed.
     pub max_outbound_bytes: usize,
@@ -211,11 +207,10 @@ impl Default for Parsed {
             max_conns: 256,
             exit_after_conns: None,
             read_timeout_ms: 5_000,
-            conns: 8,
+            conns: None,
             window: 64,
             bench: Vec::new(),
             no_check: false,
-            reactor: false,
             max_outbound_bytes: 256 * 1024,
             sndbuf: None,
             tenants: 8,
@@ -319,10 +314,11 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                 }
             }
             "--conns" => {
-                parsed.conns = parse_num(&mut it, "--conns")?;
-                if parsed.conns == 0 {
+                let conns = parse_num(&mut it, "--conns")?;
+                if conns == 0 {
                     return Err(CliError::new("--conns must be at least 1"));
                 }
+                parsed.conns = Some(conns);
             }
             "--window" => {
                 parsed.window = parse_num(&mut it, "--window")?;
@@ -338,7 +334,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                     .collect();
             }
             "--no-check" => parsed.no_check = true,
-            "--reactor" => parsed.reactor = true,
             "--tenants" => {
                 parsed.tenants = parse_num(&mut it, "--tenants")?;
                 if parsed.tenants == 0 {
@@ -592,7 +587,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.command, Command::ServeBench);
         assert_eq!(p.target.as_deref(), Some("127.0.0.1:9626"));
-        assert_eq!(p.conns, 4);
+        assert_eq!(p.conns, Some(4));
         assert_eq!(p.window, 32);
         assert_eq!(p.bench, vec!["applu_in".to_owned(), "swim_in".to_owned()]);
         assert!(p.no_check);
@@ -625,18 +620,24 @@ mod tests {
     #[test]
     fn parses_serve_mode_flags() {
         let p = parse(&argv("serve")).unwrap();
-        assert!(!p.reactor, "the reactor flag defaults off");
         assert_eq!(p.max_outbound_bytes, 256 * 1024);
         assert_eq!(p.sndbuf, None);
-        let p = parse(&argv("serve --reactor --max-outbound 65536 --sndbuf 8192")).unwrap();
-        assert!(p.reactor);
+        let p = parse(&argv("serve --max-outbound 65536 --sndbuf 8192")).unwrap();
         assert_eq!(p.max_outbound_bytes, 65_536);
         assert_eq!(p.sndbuf, Some(8_192));
-        let p = parse(&argv("serve-bench 127.0.0.1:9626 --conns 5000 --reactor")).unwrap();
-        assert!(p.reactor, "serve-bench --reactor selects many-conn mode");
+        let p = parse(&argv("serve-bench 127.0.0.1:9626")).unwrap();
+        assert_eq!(p.conns, None, "one connection per benchmark by default");
         assert!(
             parse(&argv("serve --blocking")).is_err(),
             "the removed blocking engine is no longer a flag"
+        );
+        assert!(
+            parse(&argv("serve --reactor")).is_err(),
+            "the reactor is the only engine; the flag is gone"
+        );
+        assert!(
+            parse(&argv("serve-bench 127.0.0.1:9626 --reactor")).is_err(),
+            "the epoll driver is the only load generator; the flag is gone"
         );
     }
 

@@ -343,7 +343,6 @@ fn serve_bench(parsed: &Parsed) -> Result<String, CliError> {
         window: parsed.window,
         check_agreement: !parsed.no_check,
         timeout: std::time::Duration::from_millis(parsed.read_timeout_ms.max(1_000)),
-        many_conn: parsed.reactor,
     };
     let report =
         livephase_serve::loadgen::run(&config).map_err(|e| CliError::new(e.to_string()))?;
@@ -565,10 +564,12 @@ fn replay(parsed: &Parsed) -> Result<String, CliError> {
     govern_trace(parsed, &trace)
 }
 
+/// Regenerates one artifact of the registry, or every one with `all`,
+/// and appends each shape-claim verdict. A broken claim returns the
+/// whole report as a gate failure (exit 1).
 fn repro(parsed: &Parsed) -> Result<String, CliError> {
-    use livephase_experiments as exp;
+    use livephase_experiments::{extensions::power_cap, ARTIFACTS};
     let artifact = parsed.target.as_deref().expect("validated by the parser");
-    let seed = parsed.seed;
     // Only the power_cap extension races alternative estimator backends;
     // every published table/figure is pinned to the analytic default so
     // its committed output stays byte-identical.
@@ -579,137 +580,43 @@ fn repro(parsed: &Parsed) -> Result<String, CliError> {
             parsed.power_model
         )));
     }
-    let (body, violations): (String, Vec<String>) = match artifact {
-        "table1" => {
-            let t = exp::table1::run();
-            (t.to_string(), exp::table1::check(&t))
-        }
-        "table2" => {
-            let t = exp::table2::run();
-            (t.to_string(), exp::table2::check(&t))
-        }
-        "fig02" => {
-            let f = exp::fig02::run(seed);
-            (f.to_string(), exp::fig02::check(&f))
-        }
-        "fig03" => {
-            let f = exp::fig03::run(seed);
-            (f.to_string(), exp::fig03::check(&f))
-        }
-        "fig04" => {
-            let f = exp::fig04::run(seed);
-            (f.to_string(), exp::fig04::check(&f))
-        }
-        "fig05" => {
-            let f = exp::fig05::run(seed);
-            (f.to_string(), exp::fig05::check(&f))
-        }
-        "fig06" => {
-            let f = exp::fig06::run(seed);
-            (f.to_string(), exp::fig06::check(&f))
-        }
-        "fig07" => {
-            let f = exp::fig07::run(seed);
-            (f.to_string(), exp::fig07::check(&f))
-        }
-        "fig10" => {
-            let f = exp::fig10::run(seed);
-            (f.to_string(), exp::fig10::check(&f))
-        }
-        "fig11" => {
-            let f = exp::fig11::run(seed);
-            (f.to_string(), exp::fig11::check(&f))
-        }
-        "fig12" => {
-            let f = exp::fig12::run(seed);
-            (f.to_string(), exp::fig12::check(&f))
-        }
-        "fig13" => {
-            let f = exp::fig13::run(seed);
-            (f.to_string(), exp::fig13::check(&f))
-        }
-        // Ablations (design-choice probes beyond the published figures).
-        "gphr_depth" => {
-            let a = exp::ablations::gphr_depth::run(seed);
-            (a.to_string(), exp::ablations::gphr_depth::check(&a))
-        }
-        "upc_pitfall" => {
-            let a = exp::ablations::upc_pitfall::run(seed);
-            (a.to_string(), exp::ablations::upc_pitfall::check(&a))
-        }
-        "oracle_gap" => {
-            let a = exp::ablations::oracle_gap::run(seed);
-            (a.to_string(), exp::ablations::oracle_gap::check(&a))
-        }
-        "overheads" => {
-            let a = exp::ablations::overheads::run(seed);
-            (a.to_string(), exp::ablations::overheads::check(&a))
-        }
-        "granularity" => {
-            let a = exp::ablations::granularity::run(seed);
-            (a.to_string(), exp::ablations::granularity::check(&a))
-        }
-        "selector" => {
-            let a = exp::ablations::selector::run(seed);
-            (a.to_string(), exp::ablations::selector::check(&a))
-        }
-        "pht_organization" => {
-            let a = exp::ablations::pht_organization::run(seed);
-            (a.to_string(), exp::ablations::pht_organization::check(&a))
-        }
-        "confidence" => {
-            let a = exp::ablations::confidence::run(seed);
-            (a.to_string(), exp::ablations::confidence::check(&a))
-        }
-        "family_tour" => {
-            let a = exp::ablations::family_tour::run(seed);
-            (a.to_string(), exp::ablations::family_tour::check(&a))
-        }
-        // Extensions (the paper's Section 8 claims, built out).
-        "dtm" => {
-            let e = exp::extensions::dtm::run(seed);
-            (e.to_string(), exp::extensions::dtm::check(&e))
-        }
-        "power_cap" => {
-            let e = exp::extensions::power_cap::run_with_model(seed, &power_model(parsed)?);
-            (e.to_string(), exp::extensions::power_cap::check(&e))
-        }
-        "multiprogram" => {
-            let e = exp::extensions::multiprogram::run(seed);
-            (e.to_string(), exp::extensions::multiprogram::check(&e))
-        }
-        "duration" => {
-            let e = exp::extensions::duration::run(seed);
-            (e.to_string(), exp::extensions::duration::check(&e))
-        }
-        "adaptive_sampling" => {
-            let e = exp::extensions::adaptive_sampling::run(seed);
-            (e.to_string(), exp::extensions::adaptive_sampling::check(&e))
-        }
-        "tenants" => {
-            let e = exp::extensions::tenants::run(seed);
-            (e.to_string(), exp::extensions::tenants::check(&e))
-        }
-        other => {
-            return Err(CliError::new(format!(
-                "unknown artifact {other:?}; accepted: table1 table2 fig02 fig03 \
-                 fig04 fig05 fig06 fig07 fig10 fig11 fig12 fig13, ablations \
-                 (gphr_depth upc_pitfall oracle_gap overheads granularity \
-                 selector pht_organization confidence family_tour) and \
-                 extensions (dtm power_cap multiprogram duration \
-                 adaptive_sampling tenants)"
-            )))
-        }
-    };
-    let mut out = body;
-    if violations.is_empty() {
-        let _ = writeln!(out, "\n[{artifact}] all of the paper's shape claims hold");
-    } else {
-        for v in &violations {
-            let _ = writeln!(out, "\n[{artifact}] SHAPE VIOLATION: {v}");
-        }
+    let selected: Vec<_> = ARTIFACTS
+        .iter()
+        .filter(|(name, _)| artifact == "all" || *name == artifact)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        return Err(CliError::new(format!(
+            "unknown artifact {artifact:?}; accepted: all {}",
+            names.join(" ")
+        )));
     }
-    Ok(out)
+    let mut out = String::new();
+    let mut failed = false;
+    for (name, run) in selected {
+        let (body, violations) = if *name == "power_cap" && parsed.power_model != "analytic" {
+            let e = power_cap::run_with_model(parsed.seed, &power_model(parsed)?);
+            (e.to_string(), power_cap::check(&e))
+        } else {
+            run(parsed.seed)
+        };
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out.push_str(&body);
+        if violations.is_empty() {
+            let _ = writeln!(out, "\n[{name}] all of the paper's shape claims hold");
+        }
+        for v in &violations {
+            let _ = writeln!(out, "\n[{name}] SHAPE VIOLATION: {v}");
+        }
+        failed |= !violations.is_empty();
+    }
+    if failed {
+        Err(CliError::gate(out))
+    } else {
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -877,10 +784,15 @@ mod tests {
             .unwrap_err()
             .message()
             .contains("unknown benchmark"));
-        assert!(run("repro fig99")
-            .unwrap_err()
-            .message()
-            .contains("unknown artifact"));
+        let unknown = run("repro fig99").unwrap_err();
+        assert!(unknown.message().contains("unknown artifact"));
+        for (name, _) in livephase_experiments::ARTIFACTS {
+            assert!(
+                unknown.message().split_whitespace().any(|w| w == name),
+                "the error lists {name}: {}",
+                unknown.message()
+            );
+        }
         assert!(run("replay /nonexistent.csv")
             .unwrap_err()
             .message()

@@ -14,7 +14,7 @@
 //! livephase repro fig04
 //! livephase tenants --tenants 64 --cores 8 --budget 75 --noisy 8
 //! livephase serve --port 9626 --shards 4
-//! livephase serve-bench 127.0.0.1:9626 --conns 8
+//! livephase serve-bench 127.0.0.1:9626 --conns 64
 //! livephase metrics 127.0.0.1:9626
 //! ```
 //!
@@ -59,7 +59,9 @@ pub fn usage() -> String {
      \x20 govern <bench>                run DVFS management, report EDP\n\
      \x20 export <bench> --out <file>   write the trace as CSV\n\
      \x20 replay <file.csv>             govern a replayed counter log\n\
-     \x20 repro <artifact>              regenerate a paper table/figure\n\
+     \x20 repro <artifact>|all          regenerate a paper table/figure, an\n\
+     \x20                               ablation or an extension (exit 1 when\n\
+     \x20                               a shape claim breaks)\n\
      \x20 tenants                       run a multi-tenant cluster under a power cap\n\
      \x20 serve                         run the phase-prediction TCP daemon\n\
      \x20 serve-bench <addr>            load-test a running daemon\n\
@@ -99,12 +101,12 @@ pub fn usage() -> String {
      \x20 --log-json            emit trace events as JSON lines\n\
      \n\
      SERVE-BENCH OPTIONS:\n\
-     \x20 --conns <n>           concurrent connections (default 8)\n\
+     \x20 --conns <n>           connections, all held open concurrently, one\n\
+     \x20                       stream each (default and minimum: one per\n\
+     \x20                       benchmark)\n\
      \x20 --window <n>          samples in flight per connection (default 64)\n\
      \x20 --bench <a,b,...>     benchmark subset (default: all 33)\n\
      \x20 --no-check            skip the in-process oracle agreement pass\n\
-     \x20 --reactor             many-connection mode: one thread multiplexes\n\
-     \x20                       all --conns connections, held open concurrently\n\
      \n\
      TENANTS OPTIONS:\n\
      \x20 --tenants <n>         tenant VM count M (default 8)\n\

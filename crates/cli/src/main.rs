@@ -1,8 +1,9 @@
 //! The `livephase` command-line entry point.
 //!
-//! Exit codes: 0 on success; 1 when a gate command (`lint`) completed
-//! and found violations, with the report on stdout; 2 for usage, I/O,
-//! and other operational errors, reported on stderr.
+//! Exit codes: 0 on success; 1 when a gate command (`lint`, `repro`,
+//! `bench --gate`, `power-zoo`) completed and found violations, with the
+//! report on stdout; 2 for usage, I/O, and other operational errors,
+//! reported on stderr.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();

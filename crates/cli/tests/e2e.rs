@@ -77,10 +77,23 @@ fn export_then_replay_round_trips_through_files() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// `repro` exits 0 when every shape claim holds; a broken claim is a
+/// gate failure, with the report, violation included, on stdout and
+/// exit code 1.
 #[test]
 fn repro_verifies_a_figure() {
     let out = run_ok(&["repro", "table2"]);
     assert!(out.contains("shape claims hold"));
+    let out = cli()
+        .args(["repro", "fig05", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("[fig05] SHAPE VIOLATION: equake_in: PHT 128"),
+        "{stdout}"
+    );
 }
 
 #[test]

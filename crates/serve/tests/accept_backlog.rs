@@ -67,11 +67,10 @@ fn a_1024_connection_wave_never_overflows_the_accept_queue() {
     .expect("bind loopback");
     let report = loadgen::run(&LoadGenConfig {
         addr: handle.local_addr().to_string(),
-        connections: CONNS,
+        connections: Some(CONNS),
         benchmarks: vec!["swim_in".into()],
         length: 4,
         window: 16,
-        many_conn: true,
         timeout: Duration::from_secs(30),
         ..LoadGenConfig::default()
     })

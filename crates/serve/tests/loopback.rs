@@ -42,7 +42,7 @@ fn served_decisions_are_bit_identical_to_manager_runs() {
     let handle = test_server(5_000, 64);
     let report = loadgen::run(&LoadGenConfig {
         addr: handle.local_addr().to_string(),
-        connections: 3,
+        connections: Some(3),
         benchmarks: vec!["applu_in".into(), "crafty_in".into(), "swim_in".into()],
         length: 80,
         window: 16,

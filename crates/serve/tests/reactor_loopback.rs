@@ -44,16 +44,19 @@ fn many_connection_mode_holds_all_sessions_and_stays_bit_exact() {
 
     let report = loadgen::run(&LoadGenConfig {
         addr: handle.local_addr().to_string(),
-        connections: 1200,
+        connections: Some(1200),
         benchmarks: vec!["applu_in".into(), "swim_in".into(), "crafty_in".into()],
         length: 12,
         window: 16,
-        many_conn: true,
         timeout: Duration::from_secs(30),
         ..LoadGenConfig::default()
     })
     .expect("many-connection load generation succeeds");
 
+    assert!(
+        report.to_string().contains("\n  setup "),
+        "set-up time is reported on its own line: {report}"
+    );
     assert_eq!(
         report.peak_connections, 1200,
         "every session is held open before any stream starts"
@@ -94,7 +97,7 @@ fn slow_consumer_is_shed_without_disturbing_its_shard_siblings() {
     let sibling = std::thread::spawn(move || {
         loadgen::run(&LoadGenConfig {
             addr,
-            connections: 1,
+            connections: Some(1),
             benchmarks: vec!["applu_in".into()],
             length: 200,
             window: 8,
@@ -306,8 +309,8 @@ fn idle_reap_and_graceful_drain_account_exactly() {
     );
 }
 
-/// The standard (threaded) load generator reports identical outcomes
-/// across two independent reactor servers: same per-benchmark
+/// The load generator reports identical outcomes across two
+/// independent reactor servers: same per-benchmark
 /// agreement, same sample counts — serving is deterministic end to end.
 #[test]
 fn loadgen_reports_are_reproducible_across_servers() {
@@ -320,7 +323,7 @@ fn loadgen_reports_are_reproducible_across_servers() {
         .expect("bind loopback");
         let report = loadgen::run(&LoadGenConfig {
             addr: handle.local_addr().to_string(),
-            connections: 3,
+            connections: Some(3),
             benchmarks: vec!["applu_in".into(), "mcf_inp".into(), "swim_in".into()],
             length: 60,
             window: 16,
